@@ -244,6 +244,43 @@ fn bench_density(c: &mut Criterion) {
             })
         });
     }
+    // Single-point gradients of the small models whose observe sweeps take
+    // the hoisted kernels: Bernoulli (coin) and binomial (seeds_binomial)
+    // with a scalar probability, normal with a scalar scale
+    // (implicit_prior). Interpreted and routed (JIT) rows.
+    for name in ["coin", "seeds_binomial", "implicit_prior"] {
+        let entry = model_zoo::find(name).unwrap();
+        let program = DeepStan::compile_named(name, entry.source).unwrap();
+        let data = entry.dataset(5);
+        let data_refs: Vec<(&str, Value<f64>)> =
+            data.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+        let gmodel = program.bind(&data_refs).unwrap();
+        let theta = vec![0.1; gmodel.dim()];
+        assert!(
+            gmodel.dprog().is_some(),
+            "{name}: expected a compiled density program"
+        );
+        group.bench_function(format!("{name}/gprob_grad_dprog"), |b| {
+            let mut ws = gmodel.grad_workspace();
+            let mut g = vec![0.0; gmodel.dim()];
+            b.iter(|| {
+                gmodel
+                    .log_density_and_grad_dprog_with(&mut ws, std::hint::black_box(&theta), &mut g)
+                    .unwrap()
+            })
+        });
+        if gmodel.jit().is_some() {
+            group.bench_function(format!("{name}/gprob_grad_dprog_jit"), |b| {
+                let mut ws = gmodel.grad_workspace();
+                let mut g = vec![0.0; gmodel.dim()];
+                b.iter(|| {
+                    gmodel
+                        .log_density_and_grad_with(&mut ws, std::hint::black_box(&theta), &mut g)
+                        .unwrap()
+                })
+            });
+        }
+    }
     group.finish();
 }
 

@@ -6,9 +6,10 @@
 //! `gprob_string_baseline` drives the same NUTS engine through the retained
 //! `HashMap<String, _>` density path, isolating the end-to-end effect of
 //! compile-time name resolution. `gprob_mixed_4chain_parallel` runs four
-//! chains sharded over threads (each with its own workspace) — on a
-//! multicore machine its wall time should stay well under 2× the
-//! single-chain row.
+//! chains over the Session's default thread count (one workspace per
+//! worker) and `gprob_mixed_4chain_1thread` runs them back to back on one
+//! thread — on a multicore machine the first should stay well under the
+//! second.
 //!
 //! The `gprob_jit_target` / `gprob_dprog_target` pair drives one identical
 //! NUTS harness (`nuts_sample_mut`) through the routed gradient entry
@@ -152,45 +153,21 @@ fn bench_nuts(c: &mut Criterion) {
                 })
             });
         }
-        // Multi-chain rows. `_parallel` is the Session default: the
-        // dim/cost heuristic picks lane-lockstep for real models and falls
-        // back to thread-per-chain for tiny densities (the dim-1 coin,
-        // where lane bookkeeping dwarfs the density itself). The two forced
-        // rows pin each side of that decision — `_parallel` must track the
-        // better of the two on every model, which is the acceptance bound
-        // for the heuristic.
-        group.bench_function(format!("{name}/gprob_mixed_4chain_parallel"), |b| {
-            b.iter(|| {
-                program
-                    .session(&data_refs)
-                    .unwrap()
-                    .chains(4)
-                    .run(Method::Nuts(settings.clone()))
-                    .unwrap()
-            })
-        });
-        group.bench_function(format!("{name}/gprob_mixed_4chain_lockstep_forced"), |b| {
-            b.iter(|| {
-                program
-                    .session(&data_refs)
-                    .unwrap()
-                    .chains(4)
-                    .lockstep(true)
-                    .run(Method::Nuts(settings.clone()))
-                    .unwrap()
-            })
-        });
-        group.bench_function(format!("{name}/gprob_mixed_4chain_threads_forced"), |b| {
-            b.iter(|| {
-                program
-                    .session(&data_refs)
-                    .unwrap()
-                    .chains(4)
-                    .lockstep(false)
-                    .run(Method::Nuts(settings.clone()))
-                    .unwrap()
-            })
-        });
+        // Draws are bitwise identical across the two multi-chain rows.
+        for (row, threads) in [
+            ("gprob_mixed_4chain_parallel", None),
+            ("gprob_mixed_4chain_1thread", Some(1)),
+        ] {
+            group.bench_function(format!("{name}/{row}"), |b| {
+                b.iter(|| {
+                    let mut session = program.session(&data_refs).unwrap().chains(4);
+                    if let Some(t) = threads {
+                        session = session.threads(t);
+                    }
+                    session.run(Method::Nuts(settings.clone())).unwrap()
+                })
+            });
+        }
         group.bench_function(format!("{name}/gprob_string_baseline"), |b| {
             b.iter(|| {
                 let model = program.bind(&data_refs).unwrap();

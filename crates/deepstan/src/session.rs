@@ -13,36 +13,37 @@
 //!     // -> Fit: per-chain draws, cross-chain split-R̂ / ESS, divergences
 //! ```
 //!
-//! Chains shard over `std::thread::scope`: the bound model is shared
-//! immutably while every chain owns a pooled `gprob` density workspace
-//! ([`gprob::GradWorkspace`]), so sampling allocates nothing per gradient
-//! evaluation and 4 chains cost close to 1 in wall time on a multicore
-//! machine. The same [`Fit`] type carries every method's output — posterior
-//! draws for NUTS/ADVI/importance, plus the fitted guide
+//! NUTS chains run through one runner: the chains are split over
+//! `min(chains, threads)` scoped workers, the calling thread included, and
+//! each worker runs the chains it claims back to back through
+//! [`inference::nuts::nuts_sample_mut`] on one pooled `gprob` density
+//! workspace ([`gprob::GradWorkspace`]), so sampling allocates nothing per
+//! gradient evaluation. [`Session::threads`] sets the worker count; it
+//! defaults to [`std::thread::available_parallelism`], so 2 chains on 2
+//! cores cost close to 1 in wall time, and a serving layer whose pool
+//! already keeps one worker per core sets it to 1. Placement never changes
+//! results: chain `c` is seeded `seed + c` for both its starting point and
+//! its sampler, so its draws are bitwise the same on any thread count.
+//! Each chain is streamed to the run's observer as it completes. The same
+//! [`Fit`] type carries every method's output — posterior draws for
+//! NUTS/ADVI/importance, plus the fitted guide
 //! ([`crate::svi::VariationalFit`]) for SVI — so downstream diagnostics and
 //! reporting code is method-agnostic too.
 //!
 //! Since the tape-free density programs landed ([`gprob::dprog`]), binding a
 //! model also lowers its density to a flat register program when the body
-//! admits one; every chain's [`WorkspaceTarget`] then evaluates gradients
-//! with no tape at all (NUTS, HMC and ADVI all drive the same
-//! `log_density_and_grad_with` route). Models that decline — with a reason
-//! readable via `GModel::dprog_decline` — keep the recorded-tape path,
-//! byte-identical to the previous behavior.
-//!
-//! Compiled multi-chain NUTS runs take a different sharding: instead of one
-//! thread per chain, all chains advance in *lockstep*
-//! ([`inference::nuts::nuts_sample_lockstep`]) over one shared
-//! [`WorkspaceTarget`], and every round's pending leapfrog evaluations are
-//! scored together by the lane-widened density program — one
-//! struct-of-arrays sweep per group of up to 8 chains. ADVI likewise batches
-//! its per-step Monte-Carlo guide draws through the same surface. Per-chain
-//! draws are bitwise identical to the threaded path either way; declined
-//! models keep the thread-per-chain sharding.
+//! admits one (and, where the platform allows, to native code); every
+//! chain's [`WorkspaceTarget`] then evaluates gradients with no tape at all
+//! (NUTS, HMC and ADVI all drive the same `log_density_and_grad_with`
+//! route). Models that decline — with a reason readable via
+//! `GModel::dprog_decline` — keep the recorded-tape path, byte-identical to
+//! the previous behavior. ADVI batches its per-step Monte-Carlo guide draws
+//! through the lane-widened program (one struct-of-arrays sweep per group
+//! of up to 8 draws), bitwise identical to scoring them one by one.
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
@@ -56,7 +57,7 @@ use inference::diagnostics::{
 };
 use inference::importance::{likelihood_log_weights, resample_indices, weight_draws};
 use inference::loo::{loo_compare, psis_loo, waic, CompareRow, ElpdEstimate};
-use inference::nuts::{nuts_sample_lockstep, nuts_sample_mut, NutsConfig, NutsResult};
+use inference::nuts::{nuts_sample_mut, NutsConfig, NutsResult};
 use inference::predictive::{draw_seed, stream_chains, GqTable};
 use inference::target::{GradTargetBatch, GradTargetMut};
 use rand::rngs::StdRng;
@@ -130,10 +131,9 @@ pub struct Session<'p> {
     /// sessions with zero rebinding.
     model: Option<(Scheme, Arc<GModel>)>,
     reference_model: Option<stan_ref::StanModel>,
-    /// Overrides the lockstep-vs-sequential multi-chain NUTS decision
-    /// (`None` = the cost heuristic decides). Both paths produce bitwise
-    /// identical draws; benches force each side to measure the other.
-    lockstep: Option<bool>,
+    /// Worker threads for NUTS chains ([`Session::threads`]); `None` =
+    /// [`std::thread::available_parallelism`].
+    threads: Option<usize>,
     /// Cross-request gradient-workspace pool ([`Session::workspace_pool`]):
     /// when set (and built over this session's model), chain targets check
     /// out pooled workspaces instead of allocating fresh ones per run.
@@ -166,7 +166,7 @@ impl CompiledProgram {
             guide_draws: 1000,
             model: None,
             reference_model: None,
-            lockstep: None,
+            threads: None,
             workspace_pool: None,
             cancel: CancelToken::new(),
         })
@@ -180,8 +180,8 @@ impl Session<'_> {
         self
     }
 
-    /// Number of chains to run (default 1). Chains beyond the first run on
-    /// their own threads, each with its own density workspace.
+    /// Number of chains to run (default 1). NUTS chains spread over
+    /// [`Session::threads`] workers.
     pub fn chains(mut self, chains: usize) -> Self {
         self.chains = chains.max(1);
         self
@@ -221,12 +221,14 @@ impl Session<'_> {
         self
     }
 
-    /// Forces lockstep (`true`) or one-thread-per-chain (`false`) multi-chain
-    /// NUTS execution instead of letting the cost heuristic decide. Both
-    /// paths produce bitwise identical per-chain draws; this exists for
-    /// benchmarking the heuristic's two sides against each other.
-    pub fn lockstep(mut self, lockstep: bool) -> Self {
-        self.lockstep = Some(lockstep);
+    /// Worker threads for NUTS chains (default:
+    /// [`std::thread::available_parallelism`]). The chains are split over
+    /// `min(chains, threads)` workers, the calling thread included, each
+    /// running its chains back to back. With one thread the chains run in
+    /// index order on the calling thread. Per-chain draws are bitwise the
+    /// same for every thread count.
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.threads = Some(threads.max(1));
         self
     }
 
@@ -283,13 +285,14 @@ impl Session<'_> {
     /// draws become available, *before* the full [`Fit`] is assembled —
     /// serving layers flush per-chain response frames from here.
     ///
-    /// Thread-per-chain NUTS runs invoke the observer incrementally in chain
-    /// *completion* order while other chains are still sampling. Lockstep
-    /// NUTS (all chains advance through one lane-batched gradient) and the
-    /// other methods finish their chains together, so the observer fires for
-    /// each chain in index order at completion. Either way every chain is
-    /// observed exactly once and the returned fit is identical to
-    /// [`Session::run`].
+    /// NUTS runs invoke the observer on the calling thread as chains
+    /// complete, while other chains are still sampling: in index order with
+    /// one thread, in completion order otherwise (a chain finished on
+    /// another worker is observed once the calling thread's current chain
+    /// is done). The other methods finish their chains together, so the
+    /// observer fires for each chain in index order at completion. Either
+    /// way every chain is observed exactly once and the returned fit is
+    /// identical to [`Session::run`].
     ///
     /// # Errors
     /// Same as [`Session::run`].
@@ -367,92 +370,63 @@ impl Session<'_> {
             cancel: self.cancel.clone(),
             ..Default::default()
         };
-        let (chains, init, reference) = (self.chains, self.init.clone(), self.reference);
-        let lockstep_override = self.lockstep;
-        let pool_arc = self.workspace_pool.clone();
-        if reference {
+        let (chains, init) = (self.chains, self.init.clone());
+        let threads = self
+            .threads
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let mut results: Vec<Option<ChainResult>> = (0..chains).map(|_| None).collect();
+        let mut cancelled = false;
+        // Each chain's constrained draws go to the observer as it finishes.
+        let mut collect = |slots: &[ParamSlot], c: usize, result: NutsResult, wall_time: f64| {
+            cancelled |= result.cancelled;
+            let chain = ChainResult {
+                draws: constrain_chain(slots, result.draws),
+                divergences: result.divergences,
+                wall_time,
+                n_grad_evals: result.n_grad_evals,
+            };
+            on_chain(c, &chain);
+            results[c] = Some(chain);
+        };
+        let names = if self.reference {
             let model = self.ref_model()?;
-            let runs = run_nuts_chains(
+            let slots = model.slots();
+            run_nuts_chains(
                 chains,
+                threads,
                 seed,
                 &config,
                 &|| StanModelTarget(model),
                 &|rng| init_point(&init, rng, model.dim()),
                 &|theta| model.log_density_f64(theta).map(|_| ()),
+                &mut |c, result, wall| collect(slots, c, result, wall),
             )?;
-            return Ok(collect_nuts_fit(
-                model.component_names(),
-                model.slots(),
-                runs,
-                on_chain,
-            ));
-        }
-        let model = self.model()?;
-        // A workspace pool only applies when it was built over this exact
-        // bound model (the serve cache guarantees that); any other pool is
-        // ignored rather than risking a wrong-sized workspace.
-        let pool = pool_arc
-            .as_deref()
-            .filter(|p| std::ptr::eq(p.model().as_ref() as *const GModel, model));
-        let make_target = || match pool {
-            Some(p) => WorkspaceTarget::pooled(p),
-            None => WorkspaceTarget::new(model),
-        };
-        // Multi-chain runs over a compiled density program advance all
-        // chains in lockstep so the lane-widened DProg scores every chain's
-        // leapfrog state in one batched sweep; declined models — and
-        // programs too small to amortize the lane dispatch
-        // ([`lockstep_worthwhile`]) — keep the one-thread-per-chain
-        // sharding. Both produce bitwise-identical per-chain draws.
-        let lockstep = chains > 1
-            && match model.dprog() {
-                Some(dprog) => {
-                    lockstep_override.unwrap_or_else(|| lockstep_worthwhile(model.dim(), dprog))
-                }
-                None => false,
-            };
-        if lockstep {
-            let runs = run_nuts_chains_lockstep(
+            model.component_names()
+        } else {
+            let pool_arc = self.workspace_pool.clone();
+            let model = self.model()?;
+            // A workspace pool only applies when it was built over this
+            // exact bound model (the serve cache guarantees that); any other
+            // pool is ignored rather than risking a wrong-sized workspace.
+            let pool = pool_arc
+                .as_deref()
+                .filter(|p| std::ptr::eq(p.model().as_ref() as *const GModel, model));
+            let slots = model.slots();
+            run_nuts_chains(
                 chains,
+                threads,
                 seed,
                 &config,
-                &make_target,
+                &|| match pool {
+                    Some(p) => WorkspaceTarget::pooled(p),
+                    None => WorkspaceTarget::new(model),
+                },
                 &|rng| init_point(&init, rng, model.dim()),
                 &|theta| model.log_density_f64(theta).map(|_| ()),
+                &mut |c, result, wall| collect(slots, c, result, wall),
             )?;
-            return Ok(collect_nuts_fit(
-                model.component_names(),
-                model.slots(),
-                runs,
-                on_chain,
-            ));
-        }
-        // Thread-per-chain sharding streams: each chain's constrained draws
-        // are handed to the observer as that chain finishes, while the
-        // remaining chains keep sampling.
-        let names = model.component_names();
-        let slots = model.slots();
-        let mut results: Vec<Option<ChainResult>> = (0..chains).map(|_| None).collect();
-        let mut cancelled = false;
-        run_nuts_chains_streaming(
-            chains,
-            seed,
-            &config,
-            &make_target,
-            &|rng| init_point(&init, rng, model.dim()),
-            &|theta| model.log_density_f64(theta).map(|_| ()),
-            &mut |c, result, wall_time| {
-                cancelled |= result.cancelled;
-                let chain = ChainResult {
-                    draws: constrain_chain(slots, result.draws),
-                    divergences: result.divergences,
-                    wall_time,
-                    n_grad_evals: result.n_grad_evals,
-                };
-                on_chain(c, &chain);
-                results[c] = Some(chain);
-            },
-        )?;
+            model.component_names()
+        };
         Ok(Fit {
             method: FitMethod::Nuts,
             names,
@@ -1015,61 +989,23 @@ impl GradTargetBatch for WorkspaceTarget<'_> {
     }
 }
 
-/// Runs `chains` NUTS chains, in parallel threads beyond the first, each on
-/// its own freshly built target (one workspace per chain). Chain `c` uses
-/// seed `base_seed + c` for both its starting point and its sampler.
+/// Runs `chains` NUTS chains over `min(chains, threads)` workers, the
+/// calling thread included. Chain `c` uses seed `base_seed + c` for both its
+/// starting point and its sampler, so its draws do not depend on placement.
+/// Each worker claims the next unstarted chain until none is left and runs
+/// it through [`nuts_sample_mut`] on the one target it built (one workspace
+/// per worker, reused across its chains). `on_chain` receives
+/// `(chain, result, wall_seconds)` on the calling thread as chains complete:
+/// in index order with one worker, in completion order otherwise.
 ///
-/// Before each chain samples, its own starting point is checked with
-/// `check` (a plain density evaluation), so a runtime error on *any*
+/// Every chain's starting point is checked with `check` (a plain density
+/// evaluation) before any chain samples, so a runtime error on *any*
 /// chain's init surfaces as an error rather than a silent `-inf` plateau
 /// that would pool a frozen chain into the summaries.
+#[allow(clippy::too_many_arguments)]
 fn run_nuts_chains<T, F, G, C>(
     chains: usize,
-    base_seed: u64,
-    config: &NutsConfig,
-    make_target: &F,
-    make_init: &G,
-    check: &C,
-) -> Result<Vec<(NutsResult, f64)>, InferenceError>
-where
-    T: GradTargetMut,
-    F: Fn() -> T + Sync,
-    G: Fn(&mut StdRng) -> Vec<f64> + Sync,
-    C: Fn(&[f64]) -> Result<(), gprob::RuntimeError> + Sync,
-{
-    let run_one = |c: usize| -> Result<(NutsResult, f64), InferenceError> {
-        let mut chain_cfg = config.clone();
-        chain_cfg.seed = base_seed.wrapping_add(c as u64);
-        let mut rng = StdRng::seed_from_u64(chain_cfg.seed);
-        let init = make_init(&mut rng);
-        check(&init)?;
-        let start = Instant::now();
-        let mut target = make_target();
-        let result = nuts_sample_mut(&mut target, init, &chain_cfg);
-        Ok((result, start.elapsed().as_secs_f64()))
-    };
-    if chains <= 1 {
-        return Ok(vec![run_one(0)?]);
-    }
-    std::thread::scope(|s| {
-        let run_one = &run_one;
-        let handles: Vec<_> = (0..chains).map(|c| s.spawn(move || run_one(c))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("NUTS chain thread panicked"))
-            .collect()
-    })
-}
-
-/// [`run_nuts_chains`], streaming: chain results are funneled through an
-/// mpsc channel to the calling thread, which invokes `on_chain` in chain
-/// *completion* order while the remaining chains keep sampling — the
-/// incremental flush point of `serve`'s streaming responses. Per-chain
-/// seeding is identical to [`run_nuts_chains`], so draws are bitwise equal.
-/// If any chain fails its init check the first error (in completion order)
-/// is returned after all chains finish.
-fn run_nuts_chains_streaming<T, F, G, C>(
-    chains: usize,
+    threads: usize,
     base_seed: u64,
     config: &NutsConfig,
     make_target: &F,
@@ -1080,103 +1016,65 @@ fn run_nuts_chains_streaming<T, F, G, C>(
 where
     T: GradTargetMut,
     F: Fn() -> T + Sync,
-    G: Fn(&mut StdRng) -> Vec<f64> + Sync,
-    C: Fn(&[f64]) -> Result<(), gprob::RuntimeError> + Sync,
-{
-    let run_one = |c: usize| -> Result<(NutsResult, f64), InferenceError> {
-        let mut chain_cfg = config.clone();
-        chain_cfg.seed = base_seed.wrapping_add(c as u64);
-        let mut rng = StdRng::seed_from_u64(chain_cfg.seed);
-        let init = make_init(&mut rng);
-        check(&init)?;
-        let start = Instant::now();
-        let mut target = make_target();
-        let result = nuts_sample_mut(&mut target, init, &chain_cfg);
-        Ok((result, start.elapsed().as_secs_f64()))
-    };
-    if chains <= 1 {
-        let (result, wall) = run_one(0)?;
-        on_chain(0, result, wall);
-        return Ok(());
-    }
-    std::thread::scope(|s| {
-        let run_one = &run_one;
-        let (tx, rx) = mpsc::channel();
-        for c in 0..chains {
-            let tx = tx.clone();
-            s.spawn(move || {
-                // The receiver outlives every sender inside the scope, so a
-                // send only fails if the main thread panicked.
-                let _ = tx.send((c, run_one(c)));
-            });
-        }
-        drop(tx);
-        let mut first_err = None;
-        for (c, outcome) in rx {
-            match outcome {
-                Ok((result, wall)) if first_err.is_none() => on_chain(c, result, wall),
-                Ok(_) => {}
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    })
-}
-
-/// Lockstep multi-chain NUTS pays a fixed per-round dispatch cost (lane-file
-/// preparation, operand re-resolution, chain bookkeeping) that a density
-/// program must amortize: on dim-1 toy programs with near-empty bodies the
-/// PR 6 benches measured lockstep at 0.88x of thread-per-chain (`coin`),
-/// while every real model gained 1.37-1.48x. Fall back to sequential chain
-/// execution below a dimension/cost floor; both paths produce bitwise
-/// identical draws, so the heuristic is purely a scheduling decision.
-fn lockstep_worthwhile(dim: usize, dprog: &gprob::dprog::DProg) -> bool {
-    const MIN_DIM: usize = 2;
-    const MIN_COST: usize = 48;
-    dim >= MIN_DIM && dprog.cost_estimate() >= MIN_COST
-}
-
-/// [`run_nuts_chains`] in lockstep over a single shared batched target:
-/// every round, all chains' pending leapfrog evaluations go through one
-/// `logp_grad_batch` call, which a lane-widened density program scores with
-/// one struct-of-arrays sweep per lane group. Chain `c` still seeds its
-/// starting point and sampler from `base_seed + c` and consumes its RNG in
-/// sequential order, so its draws are bitwise identical to the threaded
-/// path. Wall time cannot be attributed per chain here, so each chain
-/// reports an equal share of the batch's elapsed time.
-fn run_nuts_chains_lockstep<T, F, G, C>(
-    chains: usize,
-    base_seed: u64,
-    config: &NutsConfig,
-    make_target: &F,
-    make_init: &G,
-    check: &C,
-) -> Result<Vec<(NutsResult, f64)>, InferenceError>
-where
-    T: GradTargetBatch,
-    F: Fn() -> T,
     G: Fn(&mut StdRng) -> Vec<f64>,
     C: Fn(&[f64]) -> Result<(), gprob::RuntimeError>,
 {
-    let mut configs = Vec::with_capacity(chains);
     let mut inits = Vec::with_capacity(chains);
     for c in 0..chains {
-        let mut chain_cfg = config.clone();
-        chain_cfg.seed = base_seed.wrapping_add(c as u64);
-        let mut rng = StdRng::seed_from_u64(chain_cfg.seed);
+        let mut rng = StdRng::seed_from_u64(base_seed.wrapping_add(c as u64));
         let init = make_init(&mut rng);
         check(&init)?;
-        configs.push(chain_cfg);
         inits.push(init);
     }
-    let start = Instant::now();
-    let mut target = make_target();
-    let results = nuts_sample_lockstep(&mut target, inits, &configs);
-    let per_chain = start.elapsed().as_secs_f64() / chains.max(1) as f64;
-    Ok(results.into_iter().map(|r| (r, per_chain)).collect())
+    // The next unclaimed chain. Relaxed suffices: it hands out indices
+    // only; the inits are read-only from before any worker starts, and
+    // results travel through the channel.
+    let next = AtomicUsize::new(0);
+    let work = |emit: &mut dyn FnMut(usize, NutsResult, f64)| {
+        let mut target = None;
+        loop {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            if c >= chains {
+                break;
+            }
+            let target = target.get_or_insert_with(make_target);
+            let mut chain_cfg = config.clone();
+            chain_cfg.seed = base_seed.wrapping_add(c as u64);
+            let start = Instant::now();
+            let result = nuts_sample_mut(target, inits[c].clone(), &chain_cfg);
+            emit(c, result, start.elapsed().as_secs_f64());
+        }
+    };
+    let workers = threads.min(chains).max(1);
+    if workers == 1 {
+        work(on_chain);
+        return Ok(());
+    }
+    std::thread::scope(|s| {
+        let work = &work;
+        let (tx, rx) = mpsc::channel();
+        for _ in 1..workers {
+            let tx = tx.clone();
+            s.spawn(move || {
+                // The receiver outlives every sender inside the scope, so a
+                // send only fails if the calling thread panicked.
+                work(&mut |c, result, wall| {
+                    let _ = tx.send((c, result, wall));
+                })
+            });
+        }
+        drop(tx);
+        work(&mut |c, result, wall| {
+            on_chain(c, result, wall);
+            for (c, result, wall) in rx.try_iter() {
+                on_chain(c, result, wall);
+            }
+        });
+        for (c, result, wall) in rx {
+            on_chain(c, result, wall);
+        }
+    });
+    Ok(())
 }
 
 /// Runs `chains` independent ADVI restarts (seeded `base_seed + c`), in
@@ -1221,37 +1119,6 @@ where
 /// (the same mapping [`Posterior::from_unconstrained`] uses).
 fn constrain_chain(slots: &[ParamSlot], draws_u: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
     crate::api::constrain_draws(slots, draws_u)
-}
-
-fn collect_nuts_fit(
-    names: Vec<String>,
-    slots: &[ParamSlot],
-    runs: Vec<(NutsResult, f64)>,
-    on_chain: &mut dyn FnMut(usize, &ChainResult),
-) -> Fit {
-    let cancelled = runs.iter().any(|(result, _)| result.cancelled);
-    let chains: Vec<ChainResult> = runs
-        .into_iter()
-        .map(|(result, wall_time)| ChainResult {
-            draws: constrain_chain(slots, result.draws),
-            divergences: result.divergences,
-            wall_time,
-            n_grad_evals: result.n_grad_evals,
-        })
-        .collect();
-    for (c, chain) in chains.iter().enumerate() {
-        on_chain(c, chain);
-    }
-    Fit {
-        method: FitMethod::Nuts,
-        names,
-        chains,
-        wall_time: 0.0,
-        variational: None,
-        weights: None,
-        gq: None,
-        cancelled,
-    }
 }
 
 fn collect_advi_fit(

@@ -11,8 +11,8 @@
 //! and [`DProg::value_and_grad`] evaluates value + gradient with one forward
 //! `f64` pass over the op array into a pooled register file and one analytic
 //! reverse sweep over the same array (each opcode derives its local partials
-//! from the forward registers; batch sweep sites reuse the analytic reverse
-//! rules of [`probdist::lpdf_elem_partials`]).
+//! from the forward registers; score sites reuse the analytic reverse
+//! rules of [`probdist::lpdf_elem_partials_only`]).
 //!
 //! # Register model
 //!
@@ -58,7 +58,11 @@
 //! (`L ∈ {2, 4, 8}`, monomorphized), so the plain-indexed f64 loops
 //! auto-vectorize on stable Rust — no nightly SIMD features, no intrinsics.
 //! Batched score sites go through the lane-widened elem kernels
-//! ([`probdist::lpdf_elem_value_lanes`] / `lpdf_elem_partials_lanes`).
+//! ([`probdist::lpdf_elem_value_lanes`] /
+//! [`probdist::lpdf_elem_partials_only_lanes`]). The single-point
+//! interpreter (and the JIT, through its sweep shims) scores every batched
+//! site with the `L = 1` instance of these same sweep kernels, so one
+//! kernel — with its per-sweep hoists — serves single points and lanes.
 //!
 //! Lane evaluation is **not** a numerical variant: lane `l` executes exactly
 //! the op sequence, accumulation order, and reverse-sweep zero-guards of a
@@ -77,8 +81,8 @@
 //! | `VBin`/`VUn` | element-wise span arithmetic with scalar broadcast | per-element partials |
 //! | `Dot`/`Sum`/`MatVec`/`MaxVal` | reductions over spans (`MaxVal` is the untracked `log_sum_exp` stabilizer) | `Dot`: cross partials; `Sum`: broadcast; `MatVec`: transposed matrix; `MaxVal`: zero |
 //! | `Constrain` | [`probdist::Constraint`] transform + log-Jacobian into the jacobian accumulator | analytic `∂x/∂u` and `∂log|J|/∂u` |
-//! | `ScoreElem`/`ScoreVal` | one scalar log-density via [`probdist::lpdf_elem_value`] | [`probdist::lpdf_elem_partials`] |
-//! | `ScoreSweep`/`ScoreSweepVal` | one batched site via [`probdist::lpdf_sweep`] | [`probdist::lpdf_sweep_adjoint`] |
+//! | `ScoreElem`/`ScoreVal` | one scalar log-density via [`probdist::lpdf_elem_value`] | [`probdist::lpdf_elem_partials_only`] (partials, no value) |
+//! | `ScoreSweep`/`ScoreSweepVal` | one batched site through the lane kernel at `L = 1` (`sweep_sum_lanes`: per-sweep `ln σ` / `ln p` hoists) | the lane reverse at `L = 1` (`sweep_reverse_lanes`: partials only) |
 //! | `AddScore`/`AddScoreSpan` | `factor` contributions | pass-through |
 //! | `Loop` | body `trip` times with `iter = 0..trip` | body reversed with `iter = trip-1..0` |
 //!
@@ -112,9 +116,9 @@ use std::collections::HashMap;
 
 use minidiff::rules::UnFn;
 use probdist::sweep::{
-    lpdf_elem_partials, lpdf_elem_partials_only_lanes, lpdf_elem_value, lpdf_elem_value_lanes,
-    lpdf_sweep, lpdf_sweep_adjoint, normal_lpdf_const, normal_lpdf_from_const,
-    normal_partials_only, supports_elem, supports_sweep, sweep_arity, AdjSink, SweepArg, SweepVals,
+    bernoulli_lpmf_from_logs, binomial_lpmf_from_logs, lpdf_elem_partials_only,
+    lpdf_elem_partials_only_lanes, lpdf_elem_value, lpdf_elem_value_lanes, normal_lpdf_const,
+    normal_lpdf_from_const, normal_partials_only, supports_elem, supports_sweep, sweep_arity,
 };
 use probdist::{Constraint, DistKind};
 use stan_frontend::ast::{BinOp, FunDecl, UnOp};
@@ -979,62 +983,6 @@ impl DProg {
         }
     }
 
-    fn sweep_vals<'a>(&'a self, xs: VX, regs: &'a [f64], len: usize) -> SweepVals<'a, f64> {
-        match xs {
-            VX::Span(s) => SweepVals::Reals(&regs[s as usize..s as usize + len]),
-            VX::TableF(t) => SweepVals::Reals(&self.tables_f[t as usize][..len]),
-            VX::TableI(t) => SweepVals::Ints(&self.tables_i[t as usize][..len]),
-        }
-    }
-
-    fn sweep_arg<'a>(&'a self, a: SA, regs: &'a [f64], len: usize) -> SweepArg<'a, f64> {
-        match a {
-            SA::Sc(s) => SweepArg::Scalar(self.ra(s, regs, 0)),
-            SA::Span(s) => SweepArg::Reals(&regs[s as usize..s as usize + len]),
-            SA::TableF(t) => SweepArg::Reals(&self.tables_f[t as usize][..len]),
-            SA::TableI(t) => SweepArg::Ints(&self.tables_i[t as usize][..len]),
-        }
-    }
-
-    fn sweep_sum(
-        &self,
-        kind: DistKind,
-        xs: VX,
-        args: &[SA; 3],
-        k: u8,
-        len: u32,
-        regs: &[f64],
-    ) -> f64 {
-        let n = len as usize;
-        let xv = self.sweep_vals(xs, regs, n);
-        let mut sargs = [SweepArg::Scalar(0.0); 3];
-        for j in 0..k as usize {
-            sargs[j] = self.sweep_arg(args[j], regs, n);
-        }
-        if kind == DistKind::ImproperUniform {
-            // Not a sweep-lowering family; sum its elem kernel directly
-            // (identical in-order accumulation).
-            let mut abuf = [0f64; 3];
-            for (j, a) in sargs.iter().enumerate().take(sweep_arity(kind)) {
-                abuf[j] = match a {
-                    SweepArg::Scalar(v) => *v,
-                    _ => 0.0,
-                };
-            }
-            let mut sum = 0.0;
-            for i in 0..n {
-                let x = match xv {
-                    SweepVals::Reals(v) => v[i],
-                    SweepVals::Ints(v) => v[i] as f64,
-                };
-                sum += lpdf_elem_value(kind, x, &abuf).unwrap_or(f64::NAN);
-            }
-            return sum;
-        }
-        // Compile-time validation guarantees arity and lengths.
-        lpdf_sweep(kind, xv, &sargs[..k as usize]).unwrap_or(f64::NAN)
-    }
-
     fn forward(&self, ops: &[Op], regs: &mut [f64], acc: &mut Accum) {
         self.forward_iter(ops, regs, acc, 0);
     }
@@ -1145,7 +1093,7 @@ impl DProg {
                     k,
                     len,
                 } => {
-                    acc.score += self.sweep_sum(*kind, *xs, args, *k, *len, regs);
+                    acc.score += self.sweep_sum_lanes::<1>(*kind, *xs, args, *k, *len, regs)[0];
                 }
                 Op::ScoreSweepVal {
                     kind,
@@ -1155,7 +1103,8 @@ impl DProg {
                     k,
                     len,
                 } => {
-                    regs[*dst as usize] = self.sweep_sum(*kind, *xs, args, *k, *len, regs);
+                    regs[*dst as usize] =
+                        self.sweep_sum_lanes::<1>(*kind, *xs, args, *k, *len, regs)[0];
                 }
                 Op::AddScore { a } => {
                     acc.score += self.ra(*a, regs, iter);
@@ -1187,89 +1136,6 @@ impl DProg {
             VA::Span(s) => adj[s as usize + i] += v,
             VA::RegS(r) => adj[r.at(0)] += v,
             VA::Table(_) | VA::ConstS(_) => {}
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_reverse(
-        &self,
-        kind: DistKind,
-        xs: VX,
-        args: &[SA; 3],
-        k: u8,
-        len: u32,
-        seed: f64,
-        regs: &[f64],
-        adj: &mut [f64],
-    ) {
-        if seed == 0.0 || kind == DistKind::ImproperUniform {
-            // Improper-uniform partials are identically zero.
-            return;
-        }
-        let n = len as usize;
-        // Fast path: no per-element adjoint target aliases the adjoint
-        // buffer, so the batched reverse entry point of `probdist` can
-        // accumulate scalar-broadcast partials directly.
-        let all_scalar = (0..k as usize).all(|j| matches!(args[j], SA::Sc(_)));
-        if !matches!(xs, VX::Span(_)) && all_scalar {
-            let xv = self.sweep_vals(xs, regs, n);
-            let mut sargs = [SweepArg::Scalar(0.0); 3];
-            for j in 0..k as usize {
-                sargs[j] = self.sweep_arg(args[j], regs, n);
-            }
-            let mut d = [0.0f64; 3];
-            {
-                let (d0, rest) = d.split_at_mut(1);
-                let (d1, d2) = rest.split_at_mut(1);
-                let mut sinks = [
-                    AdjSink::Scalar(&mut d0[0]),
-                    AdjSink::Scalar(&mut d1[0]),
-                    AdjSink::Scalar(&mut d2[0]),
-                ];
-                let _ = lpdf_sweep_adjoint(
-                    kind,
-                    xv,
-                    &sargs[..k as usize],
-                    seed,
-                    &mut AdjSink::Skip,
-                    &mut sinks,
-                );
-            }
-            for j in 0..k as usize {
-                if let SA::Sc(a) = args[j] {
-                    self.bump(a, adj, 0, d[j]);
-                }
-            }
-            return;
-        }
-        let mut abuf = [0f64; 3];
-        for i in 0..n {
-            for j in 0..k as usize {
-                abuf[j] = match args[j] {
-                    SA::Sc(s) => self.ra(s, regs, 0),
-                    SA::Span(s) => regs[s as usize + i],
-                    SA::TableF(t) => self.tables_f[t as usize][i],
-                    SA::TableI(t) => self.tables_i[t as usize][i] as f64,
-                };
-            }
-            let x = match xs {
-                VX::Span(s) => regs[s as usize + i],
-                VX::TableF(t) => self.tables_f[t as usize][i],
-                VX::TableI(t) => self.tables_i[t as usize][i] as f64,
-            };
-            let Some((_, dx, dp)) = lpdf_elem_partials(kind, x, &abuf) else {
-                continue;
-            };
-            if let VX::Span(s) = xs {
-                adj[s as usize + i] += dx * seed;
-            }
-            for j in 0..k as usize {
-                match args[j] {
-                    SA::Sc(a) => self.bump(a, adj, 0, dp[j] * seed),
-                    SA::Span(s) => adj[s as usize + i] += dp[j] * seed,
-                    SA::TableF(_) | SA::TableI(_) => {}
-                }
-            }
         }
     }
 
@@ -1382,7 +1248,7 @@ impl DProg {
                         abuf[j] = self.ra(args[j], regs, iter);
                     }
                     let xv = self.ra(*x, regs, iter);
-                    if let Some((_, dx, dp)) = lpdf_elem_partials(*kind, xv, &abuf) {
+                    if let Some((dx, dp)) = lpdf_elem_partials_only(*kind, xv, &abuf) {
                         self.bump(*x, adj, iter, dx);
                         for j in 0..*k as usize {
                             self.bump(args[j], adj, iter, dp[j]);
@@ -1403,7 +1269,7 @@ impl DProg {
                             abuf[j] = self.ra(args[j], regs, iter);
                         }
                         let xv = self.ra(*x, regs, iter);
-                        if let Some((_, dx, dp)) = lpdf_elem_partials(*kind, xv, &abuf) {
+                        if let Some((dx, dp)) = lpdf_elem_partials_only(*kind, xv, &abuf) {
                             self.bump(*x, adj, iter, dx * g);
                             for j in 0..*k as usize {
                                 self.bump(args[j], adj, iter, dp[j] * g);
@@ -1418,7 +1284,7 @@ impl DProg {
                     k,
                     len,
                 } => {
-                    self.sweep_reverse(*kind, *xs, args, *k, *len, 1.0, regs, adj);
+                    self.sweep_reverse_lanes::<1>(*kind, *xs, args, *k, *len, &[1.0], regs, adj);
                 }
                 Op::ScoreSweepVal {
                     kind,
@@ -1429,7 +1295,7 @@ impl DProg {
                     len,
                 } => {
                     let g = adj[*dst as usize];
-                    self.sweep_reverse(*kind, *xs, args, *k, *len, g, regs, adj);
+                    self.sweep_reverse_lanes::<1>(*kind, *xs, args, *k, *len, &[g], regs, adj);
                 }
                 Op::AddScore { a } => {
                     self.bump(*a, adj, iter, 1.0);
@@ -1542,8 +1408,11 @@ impl DProg {
         }
     }
 
-    /// Lane mirror of `sweep_sum`: per-lane sums in identical element order,
-    /// with the same ImproperUniform and unsupported-family handling.
+    /// Per-lane log-density sums of one batched score site, in element
+    /// order; unsupported families and missing arguments surface as NaN.
+    /// At `L = 1` (a one-lane register file is laid out exactly like the
+    /// single-point one) this is the single-point kernel of the interpreter
+    /// and, through the `sweep_sum_c` shim, of the JIT.
     fn sweep_sum_lanes<const L: usize>(
         &self,
         kind: DistKind,
@@ -1578,6 +1447,12 @@ impl DProg {
         }
         if kind == DistKind::Normal && k == 2 {
             return self.normal_sweep_sum_lanes::<L>(xs, args, n, regs);
+        }
+        match (kind, args[0], args[1]) {
+            (DistKind::Bernoulli, SA::Sc(p), _) | (DistKind::Binomial, _, SA::Sc(p)) => {
+                return self.log_p_sweep_sum_lanes::<L>(kind, xs, args[0], p, n, regs);
+            }
+            _ => {}
         }
         let xo = self.lane_x_op::<L>(xs, regs, n);
         let mut aops = [LaneOp::Fixed([0.0; L]); 3];
@@ -1654,9 +1529,56 @@ impl DProg {
         sum
     }
 
-    /// Lane mirror of `sweep_reverse`, including the scalar-broadcast fast
-    /// path's accumulate-then-bump structure. Zero-seed lanes are masked the
-    /// way a zero seed skips the whole single-lane sweep.
+    /// Bernoulli/binomial forward fast path for a scalar-broadcast
+    /// probability `p`: `ln p` and `ln(1-p)` are taken once per lane per
+    /// sweep instead of per element. Bitwise equal to the generic walk
+    /// because the shared kernels select or combine exactly these two
+    /// logs ([`probdist::bernoulli_lpmf_from_logs`],
+    /// [`probdist::binomial_lpmf_from_logs`]) and `ln` is deterministic.
+    /// `trials` is the binomial count operand (unused for Bernoulli).
+    fn log_p_sweep_sum_lanes<const L: usize>(
+        &self,
+        kind: DistKind,
+        xs: VX,
+        trials: SA,
+        p: A,
+        n: usize,
+        regs: &[f64],
+    ) -> [f64; L] {
+        let p = self.ra_l::<L>(p, regs, 0);
+        let mut ln_p = [0.0; L];
+        let mut ln_1mp = [0.0; L];
+        for l in 0..L {
+            ln_p[l] = p[l].ln();
+            ln_1mp[l] = (1.0 - p[l]).ln();
+        }
+        let xo = self.lane_x_op::<L>(xs, regs, n);
+        let mut sum = [0.0; L];
+        if kind == DistKind::Bernoulli {
+            for i in 0..n {
+                let x = xo.row(i);
+                for l in 0..L {
+                    sum[l] += bernoulli_lpmf_from_logs(x[l], ln_p[l], ln_1mp[l]);
+                }
+            }
+        } else {
+            let to = self.lane_arg_op::<L>(trials, regs, n);
+            for i in 0..n {
+                let x = xo.row(i);
+                let t = to.row(i);
+                for l in 0..L {
+                    sum[l] += binomial_lpmf_from_logs(x[l], t[l], ln_p[l], ln_1mp[l]);
+                }
+            }
+        }
+        sum
+    }
+
+    /// Reverse of [`DProg::sweep_sum_lanes`] with per-lane adjoint seeds:
+    /// scalar-broadcast partials accumulate over the sweep and are bumped
+    /// once; a lane whose seed is zero contributes nothing, and an all-zero
+    /// seed skips the sweep. At `L = 1` this is the single-point reverse of
+    /// the interpreter and, through the `sweep_reverse_c` shim, of the JIT.
     #[allow(clippy::too_many_arguments)]
     fn sweep_reverse_lanes<const L: usize>(
         &self,

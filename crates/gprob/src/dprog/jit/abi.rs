@@ -12,11 +12,13 @@
 //! * **Score-kernel shims** (re-exported from [`probdist::ffi`]) — one
 //!   element's log-density or partials.
 //! * **Sweep shims** ([`sweep_sum_c`], [`sweep_reverse_c`]) — whole batched
-//!   score sites. These wrap the interpreter's own private
-//!   `DProg::sweep_sum` / `DProg::sweep_reverse`, rebuilding the register
-//!   and adjoint slices from the raw base pointers the emitted code keeps
-//!   in `r12`/`r13`. A `ScoreSweep` op therefore costs the JIT one call,
-//!   identical math, identical accumulation order.
+//!   score sites. These call the interpreter's own private sweep kernels
+//!   at one lane (`DProg::sweep_sum_lanes::<1>` /
+//!   `DProg::sweep_reverse_lanes::<1>`), rebuilding the register and
+//!   adjoint slices from the raw base pointers the emitted code keeps in
+//!   `r12`/`r13`. A
+//!   `ScoreSweep` op therefore costs the JIT one call, identical math,
+//!   identical accumulation order.
 //!
 //! All shims follow the System-V AMD64 convention `extern "C"` implies:
 //! pointer arguments in `rdi`/`rsi`/…, `f64` arguments in `xmm0..`, `f64`
@@ -85,7 +87,8 @@ pub(super) unsafe extern "C" fn constrain_partials_c(
 }
 
 /// Forward pass of one batched score site: the sum the interpreter's
-/// `Op::ScoreSweep` / `Op::ScoreSweepVal` arm computes.
+/// `Op::ScoreSweep` / `Op::ScoreSweepVal` arm computes (the one-lane sweep
+/// kernel).
 ///
 /// # Safety
 /// `dp` must point at the live program that owns `op`; `op` at one of its
@@ -112,14 +115,15 @@ pub(super) unsafe extern "C" fn sweep_sum_c(
             k,
             len,
             ..
-        } => dp.sweep_sum(*kind, *xs, args, *k, *len, regs),
+        } => dp.sweep_sum_lanes::<1>(*kind, *xs, args, *k, *len, regs)[0],
         _ => f64::NAN,
     }
 }
 
 /// Reverse pass of one batched score site with adjoint seed `seed` —
-/// exactly `DProg::sweep_reverse`, including its early return on a zero
-/// seed and the all-scalar fast path.
+/// exactly the interpreter's one-lane reverse sweep kernel, including its
+/// early return on a zero seed and the accumulate-then-bump path for
+/// scalar-broadcast arguments.
 ///
 /// # Safety
 /// As [`sweep_sum_c`], plus `adj` must point at `dp.n_regs` writable
@@ -150,6 +154,6 @@ pub(super) unsafe extern "C" fn sweep_reverse_c(
         ..
     } = &*op
     {
-        dp.sweep_reverse(*kind, *xs, args, *k, *len, seed, regs, adj);
+        dp.sweep_reverse_lanes::<1>(*kind, *xs, args, *k, *len, &[seed], regs, adj);
     }
 }

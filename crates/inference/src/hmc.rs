@@ -6,7 +6,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::target::{GradTarget, GradTargetBatch, GradTargetMut};
+use crate::target::{GradTarget, GradTargetMut};
 
 /// Configuration for static HMC.
 #[derive(Debug, Clone)]
@@ -131,158 +131,6 @@ pub fn hmc_sample_mut<T: GradTargetMut + ?Sized>(
     }
 }
 
-/// Runs `inits.len()` static-HMC chains in lockstep over one shared
-/// [`GradTargetBatch`]: static HMC's evaluation schedule is the same for
-/// every chain (one initial evaluation, then `leapfrog_steps` per
-/// iteration), so each leapfrog step batches all chains' positions into a
-/// single [`GradTargetBatch::logp_grad_batch`] call — one lane-widened sweep
-/// per step for `gprob::dprog` targets.
-///
-/// Chains must agree on `warmup + samples` and `leapfrog_steps` (the
-/// schedule), but may differ in seed, initial step size, or warmup split.
-/// Each chain consumes its private RNG exactly as [`hmc_sample_mut`] would,
-/// so per-chain results are bitwise identical to sequential runs.
-///
-/// Panics when `inits` and `configs` differ in length, initial points differ
-/// in dimension, or the chains' evaluation schedules disagree.
-pub fn hmc_sample_lockstep<T: GradTargetBatch + ?Sized>(
-    target: &mut T,
-    inits: Vec<Vec<f64>>,
-    configs: &[HmcConfig],
-) -> Vec<HmcResult> {
-    assert_eq!(
-        inits.len(),
-        configs.len(),
-        "one HmcConfig per initial point"
-    );
-    let n = inits.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let dim = inits[0].len();
-    assert!(
-        inits.iter().all(|q| q.len() == dim),
-        "all chains must share one dimension"
-    );
-    let total = configs[0].warmup + configs[0].samples;
-    let leapfrog_steps = configs[0].leapfrog_steps;
-    assert!(
-        configs
-            .iter()
-            .all(|c| c.warmup + c.samples == total && c.leapfrog_steps == leapfrog_steps),
-        "lockstep HMC requires equal iteration and leapfrog counts across chains"
-    );
-
-    let mut rngs: Vec<StdRng> = configs
-        .iter()
-        .map(|c| StdRng::seed_from_u64(c.seed))
-        .collect();
-    let mut batch_q: Vec<f64> = inits.concat();
-    let mut batch_logp = vec![0.0; n];
-    let mut batch_grad = vec![0.0; n * dim];
-    target.logp_grad_batch(&batch_q, &mut batch_logp, &mut batch_grad);
-
-    let mut q = inits;
-    let mut grad: Vec<Vec<f64>> = Vec::with_capacity(n);
-    let mut logp = vec![0.0; n];
-    for c in 0..n {
-        if batch_logp[c].is_nan() {
-            logp[c] = f64::NEG_INFINITY;
-            grad.push(vec![0.0; dim]);
-        } else {
-            logp[c] = batch_logp[c];
-            grad.push(batch_grad[c * dim..(c + 1) * dim].to_vec());
-        }
-    }
-
-    let mut step: Vec<f64> = configs.iter().map(|c| c.step_size).collect();
-    let mut draws: Vec<Vec<Vec<f64>>> = configs
-        .iter()
-        .map(|c| Vec::with_capacity(c.samples))
-        .collect();
-    let mut accepted_post = vec![0usize; n];
-
-    let mut p0: Vec<Vec<f64>> = vec![vec![0.0; dim]; n];
-    let mut p: Vec<Vec<f64>> = vec![vec![0.0; dim]; n];
-    let mut q_new: Vec<Vec<f64>> = vec![vec![0.0; dim]; n];
-    let mut grad_new: Vec<Vec<f64>> = vec![vec![0.0; dim]; n];
-    let mut logp_new = vec![0.0; n];
-
-    for iter in 0..total {
-        for c in 0..n {
-            for v in p0[c].iter_mut() {
-                *v = standard_normal(&mut rngs[c]);
-            }
-            p[c].copy_from_slice(&p0[c]);
-            q_new[c].copy_from_slice(&q[c]);
-            grad_new[c].copy_from_slice(&grad[c]);
-            logp_new[c] = logp[c];
-            for i in 0..dim {
-                p[c][i] += 0.5 * step[c] * grad_new[c][i];
-            }
-        }
-
-        for l in 0..leapfrog_steps {
-            batch_q.clear();
-            for c in 0..n {
-                for i in 0..dim {
-                    q_new[c][i] += step[c] * p[c][i];
-                }
-                batch_q.extend_from_slice(&q_new[c]);
-            }
-            target.logp_grad_batch(&batch_q, &mut batch_logp, &mut batch_grad);
-            let last = l + 1 == leapfrog_steps;
-            let factor = if last { 0.5 } else { 1.0 };
-            for c in 0..n {
-                grad_new[c].copy_from_slice(&batch_grad[c * dim..(c + 1) * dim]);
-                logp_new[c] = if batch_logp[c].is_nan() {
-                    f64::NEG_INFINITY
-                } else {
-                    batch_logp[c]
-                };
-                for i in 0..dim {
-                    p[c][i] += factor * step[c] * grad_new[c][i];
-                }
-            }
-        }
-
-        for c in 0..n {
-            let h0 = logp[c] - 0.5 * p0[c].iter().map(|x| x * x).sum::<f64>();
-            let h1 = logp_new[c] - 0.5 * p[c].iter().map(|x| x * x).sum::<f64>();
-            let accept_prob = (h1 - h0).exp().min(1.0);
-            let accept = accept_prob.is_finite() && rngs[c].gen::<f64>() < accept_prob;
-            if accept {
-                q[c].copy_from_slice(&q_new[c]);
-                logp[c] = logp_new[c];
-                grad[c].copy_from_slice(&grad_new[c]);
-            }
-
-            if iter < configs[c].warmup {
-                let target_accept = 0.65;
-                let adapt = 1.0 + 0.05 * (accept_prob - target_accept);
-                step[c] = (step[c] * adapt).clamp(1e-6, 5.0);
-            } else {
-                if accept {
-                    accepted_post[c] += 1;
-                }
-                draws[c].push(q[c].clone());
-            }
-        }
-    }
-
-    draws
-        .into_iter()
-        .zip(accepted_post)
-        .zip(step)
-        .zip(configs)
-        .map(|(((draws, accepted), step_size), cfg)| HmcResult {
-            draws,
-            accept_rate: accepted as f64 / cfg.samples.max(1) as f64,
-            step_size,
-        })
-        .collect()
-}
-
 fn standard_normal(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen::<f64>();
@@ -310,32 +158,6 @@ mod tests {
         let s = summarize(&res.draws);
         assert!((s[0].mean - 3.0).abs() < 0.2, "mean {}", s[0].mean);
         assert!(res.accept_rate > 0.4, "accept {}", res.accept_rate);
-    }
-
-    #[test]
-    fn lockstep_chains_match_sequential_chains_bitwise() {
-        let target = |q: &[f64]| {
-            let z = q[0] - 3.0;
-            (-0.5 * z * z - 0.5 * q[1] * q[1], vec![-z, -q[1]])
-        };
-        let configs: Vec<HmcConfig> = (0..3)
-            .map(|c| HmcConfig {
-                warmup: 40,
-                samples: 30,
-                leapfrog_steps: 8,
-                seed: 21 + c,
-                ..Default::default()
-            })
-            .collect();
-        let inits = vec![vec![0.0, 0.5], vec![1.0, -0.5], vec![-1.0, 0.0]];
-        let mut batched = &target;
-        let lockstep = hmc_sample_lockstep(&mut batched, inits.clone(), &configs);
-        for ((init, cfg), got) in inits.into_iter().zip(&configs).zip(&lockstep) {
-            let want = hmc_sample(&target, init, cfg);
-            assert_eq!(want.draws, got.draws);
-            assert_eq!(want.accept_rate, got.accept_rate);
-            assert_eq!(want.step_size.to_bits(), got.step_size.to_bits());
-        }
     }
 
     #[test]

@@ -43,14 +43,15 @@
 //! recorded-tape interpreter when it declined. Nothing in this crate needs
 //! to know which backend ran.
 //!
-//! Multi-point work additionally flows through [`target::GradTargetBatch`]:
-//! [`nuts::nuts_sample_lockstep`] and [`hmc::hmc_sample_lockstep`] advance
-//! all chains together and batch their pending leapfrog evaluations into one
-//! call per round, and [`advi::advi_fit_batch`] scores each step's
-//! Monte-Carlo guide draws in one pass — which is how lane-widened
-//! struct-of-arrays density programs evaluate several chains per sweep. All
-//! three are bitwise identical per chain/fit to their sequential
-//! counterparts.
+//! Samplers score one point per gradient evaluation: a multi-chain NUTS
+//! run is independent [`nuts::nuts_sample_mut`] chains, which the caller
+//! places on threads (`deepstan`'s `Session` runs them back to back on
+//! `min(chains, threads)` workers). Multi-point work flows through
+//! [`target::GradTargetBatch`] where the points exist together:
+//! [`advi::advi_fit_batch`] scores each step's Monte-Carlo guide draws in
+//! one pass (and importance sampling its prior draws), which is how
+//! lane-widened struct-of-arrays density programs evaluate several points
+//! per sweep — bitwise identical per fit to [`advi::advi_fit_mut`].
 //!
 //! # Example
 //!
@@ -80,9 +81,9 @@ pub use cancel::CancelToken;
 pub use diagnostics::{
     accuracy_pass, ess, multi_ess, multi_split_rhat, split_rhat, summarize, Summary,
 };
-pub use hmc::{hmc_sample, hmc_sample_lockstep, hmc_sample_mut, HmcConfig, HmcResult};
+pub use hmc::{hmc_sample, hmc_sample_mut, HmcConfig, HmcResult};
 pub use loo::{loo_compare, psis_loo, waic, CompareRow, ElpdEstimate};
-pub use nuts::{nuts_sample, nuts_sample_lockstep, nuts_sample_mut, NutsConfig, NutsResult};
+pub use nuts::{nuts_sample, nuts_sample_mut, NutsConfig, NutsResult};
 pub use predictive::{draw_seed, stream_chains, GqTable, StreamError};
 pub use svi::{
     svi_optimize, svi_optimize_draws, svi_optimize_draws_cancellable, Adam, AdamConfig, SviResult,

@@ -5,20 +5,18 @@
 //! algorithm Stan, Pyro and NumPyro all use as their default and the one the
 //! paper's evaluation runs on every backend.
 //!
-//! Two drivers share the algorithm: [`nuts_sample_mut`] runs one chain to
-//! completion (one target instance per chain, shardable over threads), and
-//! [`nuts_sample_lockstep`] advances C chains as explicit state machines,
-//! batching every chain's pending leapfrog evaluation into one
-//! [`GradTargetBatch::logp_grad_batch`] call so lane-widened density
-//! programs score all chains per sweep. Chain c of a lockstep run consumes
-//! its RNG in exactly the order of a sequential [`nuts_sample_mut`] run with
-//! the same config, so the per-chain results are bitwise identical.
+//! One sampler runs the algorithm: [`nuts_sample_mut`] runs one chain to
+//! completion on one target instance, scoring one point per gradient
+//! evaluation. Multi-chain runs are a placement question above this
+//! module: `deepstan`'s `Session` runs each chain through this sampler,
+//! back to back on however many threads it is given, and a chain's draws
+//! depend only on its config (seed included), never on where it ran.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cancel::CancelToken;
-use crate::target::{GradTarget, GradTargetBatch, GradTargetMut};
+use crate::target::{GradTarget, GradTargetMut};
 
 /// NUTS configuration.
 #[derive(Debug, Clone)]
@@ -39,7 +37,8 @@ pub struct NutsConfig {
     /// gradient evaluation). The default token never cancels. A chain that
     /// observes cancellation stops before its next iteration, so the draws
     /// it has already produced are the bitwise prefix of an uncancelled
-    /// same-seed run.
+    /// same-seed run; a chain whose token fired before it started returns
+    /// an empty cancelled result without evaluating the target.
     pub cancel: CancelToken,
 }
 
@@ -211,6 +210,16 @@ pub fn nuts_sample_mut<T: GradTargetMut + ?Sized>(
     init: Vec<f64>,
     config: &NutsConfig,
 ) -> NutsResult {
+    if config.cancel.is_cancelled() {
+        return NutsResult {
+            draws: Vec::new(),
+            divergences: 0,
+            step_size: config.init_step_size,
+            mean_accept: 0.0,
+            n_grad_evals: 0,
+            cancelled: true,
+        };
+    }
     let dim = init.len();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut n_grad_evals = 0usize;
@@ -564,570 +573,6 @@ fn standard_normal(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Runs `inits.len()` NUTS chains in *lockstep* over one shared
-/// [`GradTargetBatch`]: each chain is an explicit state machine that parks on
-/// its next gradient evaluation, and every round the driver gathers all
-/// non-finished chains' pending points into a single
-/// [`GradTargetBatch::logp_grad_batch`] call. Lane-widened density programs
-/// (`gprob::dprog`) then score the whole fleet with one struct-of-arrays
-/// forward/reverse sweep per lane group instead of one interpreter walk per
-/// chain.
-///
-/// Chain `c` consumes its private RNG (`configs[c].seed`) in exactly the
-/// order [`nuts_sample_mut`] would, so each result is bitwise identical to a
-/// sequential run of that chain. Chains may differ in warmup length, depth,
-/// or seed; a chain that finishes early simply drops out of subsequent
-/// batches.
-///
-/// Panics when `inits` and `configs` differ in length or the initial points
-/// differ in dimension (the batch layout is row-major with one shared `dim`).
-pub fn nuts_sample_lockstep<T: GradTargetBatch + ?Sized>(
-    target: &mut T,
-    inits: Vec<Vec<f64>>,
-    configs: &[NutsConfig],
-) -> Vec<NutsResult> {
-    assert_eq!(
-        inits.len(),
-        configs.len(),
-        "one NutsConfig per initial point"
-    );
-    let n = inits.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let dim = inits[0].len();
-    assert!(
-        inits.iter().all(|q| q.len() == dim),
-        "all chains must share one dimension"
-    );
-
-    let mut chains: Vec<LockstepChain> = inits
-        .into_iter()
-        .zip(configs)
-        .map(|(init, cfg)| LockstepChain::new(init, cfg.clone()))
-        .collect();
-
-    let mut qs: Vec<f64> = Vec::with_capacity(n * dim);
-    let mut active: Vec<usize> = Vec::with_capacity(n);
-    let mut logps = vec![0.0; n];
-    let mut grads = vec![0.0; n * dim];
-    loop {
-        qs.clear();
-        active.clear();
-        for (c, chain) in chains.iter_mut().enumerate() {
-            // Cooperative cancellation, observed once per round at an
-            // iteration-safe point: a cancelled chain keeps only fully
-            // completed iterations, so its draws stay a bitwise prefix of
-            // the uncancelled run.
-            if !chain.done && chain.cfg.cancel.is_cancelled() {
-                chain.cancelled = true;
-                chain.done = true;
-            }
-            if !chain.done {
-                active.push(c);
-                qs.extend_from_slice(&chain.pending_q);
-            }
-        }
-        if active.is_empty() {
-            break;
-        }
-        let m = active.len();
-        target.logp_grad_batch(&qs, &mut logps[..m], &mut grads[..m * dim]);
-        for (slot, &c) in active.iter().enumerate() {
-            chains[c].on_reply(logps[slot], &grads[slot * dim..(slot + 1) * dim]);
-        }
-    }
-    chains.into_iter().map(LockstepChain::finish).collect()
-}
-
-/// Where a lockstep chain is parked while it waits for its pending gradient
-/// evaluation. Every non-`Idle` variant owes the chain exactly one reply for
-/// the point currently in `LockstepChain::pending_q`.
-enum Phase {
-    /// Transient placeholder while a reply is being applied.
-    Idle,
-    /// Waiting on the initial density evaluation at the chain's init point.
-    Init,
-    /// Inside `find_initial_step_size`'s doubling/halving probe loop.
-    FindStep(FindStep),
-    /// Inside one iteration's tree doubling, mid-subtree.
-    Tree(Box<TreeWalk>),
-}
-
-/// Suspended state of the `find_initial_step_size` heuristic.
-struct FindStep {
-    eps: f64,
-    direction: f64,
-    /// Probes issued after the first trial step (the sequential loop runs at
-    /// most 50 of them).
-    attempts: usize,
-    /// True until the pre-loop trial step's reply has been handled.
-    first: bool,
-    joint0: f64,
-    state: State,
-}
-
-/// Suspended state of one NUTS iteration's tree doubling: the per-iteration
-/// locals of [`nuts_sample_mut`]'s depth loop plus `build_tree`'s position
-/// within the current subtree.
-struct TreeWalk {
-    joint0: f64,
-    state_minus: State,
-    state_plus: State,
-    q_new: Vec<f64>,
-    logp_new: f64,
-    grad_new: Vec<f64>,
-    log_sum_weight: f64,
-    sum_accept: f64,
-    n_leapfrog: usize,
-    depth: usize,
-    go_right: bool,
-    log_sum_weight_subtree: f64,
-    q_prop: Vec<f64>,
-    logp_prop: f64,
-    grad_prop: Vec<f64>,
-    n_steps: usize,
-    step_i: usize,
-    n_kept: f64,
-}
-
-/// One chain of [`nuts_sample_lockstep`], advanced one gradient reply at a
-/// time. The fields mirror [`nuts_sample_mut`]'s locals one-for-one; the
-/// control flow is the same algorithm with every `leapfrog` call split into a
-/// position half-step (publishing `pending_q`) and a momentum half-step
-/// (applied when the batched evaluation answers).
-struct LockstepChain {
-    cfg: NutsConfig,
-    rng: StdRng,
-    dim: usize,
-    n_grad_evals: usize,
-    q: Vec<f64>,
-    grad: Vec<f64>,
-    logp: f64,
-    inv_mass: Vec<f64>,
-    welford_mean: Vec<f64>,
-    welford_m2: Vec<f64>,
-    welford_n: usize,
-    da: DualAveraging,
-    step_size: f64,
-    draws: Vec<Vec<f64>>,
-    divergences: usize,
-    accept_sum: f64,
-    accept_count: usize,
-    iter: usize,
-    telemetry: ChainTelemetry,
-    phase: Phase,
-    /// The point whose `(log p, ∇ log p)` the chain is waiting on; gathered
-    /// by the driver whenever `done` is false.
-    pending_q: Vec<f64>,
-    done: bool,
-    cancelled: bool,
-}
-
-impl LockstepChain {
-    fn new(init: Vec<f64>, cfg: NutsConfig) -> Self {
-        let dim = init.len();
-        let rng = StdRng::seed_from_u64(cfg.seed);
-        let pending_q = init.clone();
-        let da = DualAveraging::new(cfg.init_step_size);
-        let step_size = cfg.init_step_size;
-        LockstepChain {
-            cfg,
-            rng,
-            dim,
-            n_grad_evals: 0,
-            grad: vec![0.0; dim],
-            q: init,
-            logp: f64::NEG_INFINITY,
-            inv_mass: vec![1.0; dim],
-            welford_mean: vec![0.0; dim],
-            welford_m2: vec![0.0; dim],
-            welford_n: 0,
-            da,
-            step_size,
-            draws: Vec::new(),
-            divergences: 0,
-            accept_sum: 0.0,
-            accept_count: 0,
-            iter: 0,
-            telemetry: ChainTelemetry::new(),
-            phase: Phase::Init,
-            pending_q,
-            done: false,
-            cancelled: false,
-        }
-    }
-
-    /// Applies one batched evaluation's answer for this chain's pending point
-    /// and advances the state machine until it either parks on the next
-    /// pending evaluation or finishes the chain.
-    fn on_reply(&mut self, lp: f64, grad_in: &[f64]) {
-        self.n_grad_evals += 1;
-        match std::mem::replace(&mut self.phase, Phase::Idle) {
-            Phase::Idle => unreachable!("lockstep chain got a reply with no pending evaluation"),
-            Phase::Init => {
-                // Mirror `eval_target`: a NaN density becomes -inf with a
-                // zeroed gradient.
-                if lp.is_nan() {
-                    self.logp = f64::NEG_INFINITY;
-                    self.grad.fill(0.0);
-                } else {
-                    self.logp = lp;
-                    self.grad.copy_from_slice(grad_in);
-                }
-                self.begin_find_step();
-            }
-            Phase::FindStep(fs) => self.find_step_reply(fs, lp, grad_in),
-            Phase::Tree(tw) => self.tree_reply(tw, lp, grad_in),
-        }
-    }
-
-    fn draw_momentum(&mut self) -> Vec<f64> {
-        let mut p = Vec::with_capacity(self.dim);
-        for i in 0..self.dim {
-            p.push(standard_normal(&mut self.rng) / self.inv_mass[i].sqrt());
-        }
-        p
-    }
-
-    /// First half of `leapfrog`: momentum half-step off the stored gradient,
-    /// full position step, and publication of the new position as this
-    /// chain's pending evaluation.
-    fn leapfrog_begin(&mut self, s: &mut State, eps: f64) {
-        for (p, g) in s.p.iter_mut().zip(&s.grad) {
-            *p += 0.5 * eps * g;
-        }
-        for ((q, im), p) in s.q.iter_mut().zip(&self.inv_mass).zip(&s.p) {
-            *q += eps * im * p;
-        }
-        self.pending_q.clear();
-        self.pending_q.extend_from_slice(&s.q);
-    }
-
-    fn begin_find_step(&mut self) {
-        let eps = self.cfg.init_step_size;
-        let p = self.draw_momentum();
-        let joint0 = self.logp - kinetic(&p, &self.inv_mass);
-        let mut state = State {
-            q: self.q.clone(),
-            p,
-            logp: self.logp,
-            grad: self.grad.clone(),
-        };
-        self.leapfrog_begin(&mut state, eps);
-        self.phase = Phase::FindStep(FindStep {
-            eps,
-            direction: 0.0,
-            attempts: 0,
-            first: true,
-            joint0,
-            state,
-        });
-    }
-
-    fn find_step_reply(&mut self, mut fs: FindStep, lp: f64, grad_in: &[f64]) {
-        leapfrog_finish(&mut fs.state, fs.eps, lp, grad_in);
-        let joint = fs.state.logp - kinetic(&fs.state.p, &self.inv_mass);
-        let delta = joint - fs.joint0;
-        if fs.first {
-            if !delta.is_finite() {
-                // Unclamped early return, as in the sequential heuristic.
-                self.finish_find_step((self.cfg.init_step_size * 0.1).max(1e-6));
-                return;
-            }
-            fs.direction = if delta > (-0.693) { 1.0 } else { -1.0 };
-            fs.first = false;
-            self.find_step_probe(fs);
-            return;
-        }
-        if !delta.is_finite() {
-            let eps = fs.eps * 0.5;
-            self.finish_find_step(eps.clamp(1e-8, 10.0));
-            return;
-        }
-        let crossed =
-            (fs.direction > 0.0 && delta < -0.693) || (fs.direction < 0.0 && delta > -0.693);
-        if crossed || fs.attempts >= 50 {
-            self.finish_find_step(fs.eps.clamp(1e-8, 10.0));
-            return;
-        }
-        self.find_step_probe(fs);
-    }
-
-    /// Issues the next doubling/halving probe: scale `eps`, draw a fresh
-    /// momentum, restart from the chain's current point.
-    fn find_step_probe(&mut self, mut fs: FindStep) {
-        fs.attempts += 1;
-        fs.eps *= 2f64.powf(fs.direction);
-        let p = self.draw_momentum();
-        fs.joint0 = self.logp - kinetic(&p, &self.inv_mass);
-        fs.state.q.copy_from_slice(&self.q);
-        fs.state.p = p;
-        fs.state.logp = self.logp;
-        fs.state.grad.copy_from_slice(&self.grad);
-        let eps = fs.eps;
-        self.leapfrog_begin(&mut fs.state, eps);
-        self.phase = Phase::FindStep(fs);
-    }
-
-    fn finish_find_step(&mut self, eps: f64) {
-        self.da = DualAveraging::new(eps);
-        self.step_size = self.da.current();
-        self.run_iterations();
-    }
-
-    /// Starts iterations until one parks on a tree leapfrog or the chain is
-    /// out of iterations. The loop (rather than recursion) covers
-    /// `max_depth == 0`, where whole iterations complete without any
-    /// evaluation.
-    fn run_iterations(&mut self) {
-        loop {
-            let total = self.cfg.warmup + self.cfg.samples;
-            if self.iter >= total {
-                self.done = true;
-                return;
-            }
-            let mut tw = self.make_tree_walk();
-            if tw.depth < self.cfg.max_depth {
-                self.init_subtree(&mut tw);
-                self.begin_edge_leapfrog(&mut tw);
-                self.phase = Phase::Tree(tw);
-                return;
-            }
-            self.apply_iteration_end(tw, false, 0);
-        }
-    }
-
-    fn make_tree_walk(&mut self) -> Box<TreeWalk> {
-        let p = self.draw_momentum();
-        let joint0 = self.logp - kinetic(&p, &self.inv_mass);
-        Box::new(TreeWalk {
-            joint0,
-            state_minus: State {
-                q: self.q.clone(),
-                p: p.clone(),
-                logp: self.logp,
-                grad: self.grad.clone(),
-            },
-            state_plus: State {
-                q: self.q.clone(),
-                p,
-                logp: self.logp,
-                grad: self.grad.clone(),
-            },
-            q_new: self.q.clone(),
-            logp_new: self.logp,
-            grad_new: self.grad.clone(),
-            log_sum_weight: 0.0,
-            sum_accept: 0.0,
-            n_leapfrog: 0,
-            depth: 0,
-            go_right: false,
-            log_sum_weight_subtree: f64::NEG_INFINITY,
-            q_prop: self.q.clone(),
-            logp_prop: self.logp,
-            grad_prop: self.grad.clone(),
-            n_steps: 0,
-            step_i: 0,
-            n_kept: 0.0,
-        })
-    }
-
-    /// Per-depth setup at the top of the sequential depth loop.
-    fn init_subtree(&mut self, tw: &mut TreeWalk) {
-        tw.go_right = self.rng.gen::<bool>();
-        tw.log_sum_weight_subtree = f64::NEG_INFINITY;
-        tw.q_prop.copy_from_slice(&tw.q_new);
-        tw.logp_prop = tw.logp_new;
-        tw.grad_prop.copy_from_slice(&tw.grad_new);
-        tw.n_steps = 1usize << tw.depth;
-        tw.step_i = 0;
-        tw.n_kept = 0.0;
-    }
-
-    fn begin_edge_leapfrog(&mut self, tw: &mut TreeWalk) {
-        let dir = if tw.go_right { 1.0 } else { -1.0 };
-        let eps = dir * self.step_size;
-        let edge = if tw.go_right {
-            &mut tw.state_plus
-        } else {
-            &mut tw.state_minus
-        };
-        self.leapfrog_begin(edge, eps);
-    }
-
-    fn tree_reply(&mut self, mut tw: Box<TreeWalk>, lp: f64, grad_in: &[f64]) {
-        let dir = if tw.go_right { 1.0 } else { -1.0 };
-        let eps = dir * self.step_size;
-        {
-            let edge = if tw.go_right {
-                &mut tw.state_plus
-            } else {
-                &mut tw.state_minus
-            };
-            leapfrog_finish(edge, eps, lp, grad_in);
-        }
-        tw.n_leapfrog += 1;
-        let (joint, delta) = {
-            let edge = if tw.go_right {
-                &tw.state_plus
-            } else {
-                &tw.state_minus
-            };
-            let joint = edge.logp - kinetic(&edge.p, &self.inv_mass);
-            (joint, joint - tw.joint0)
-        };
-        if delta < -1000.0 || !joint.is_finite() {
-            // Divergence: abandon the iteration (no progressive-sampling RNG
-            // draw for this step, as in `build_tree`'s early return).
-            let depth_entered = tw.depth + 1;
-            self.apply_iteration_end(tw, true, depth_entered);
-            self.run_iterations();
-            return;
-        }
-        tw.sum_accept += delta.min(0.0).exp();
-        tw.log_sum_weight_subtree = log_add_exp(tw.log_sum_weight_subtree, delta);
-        tw.n_kept += 1.0;
-        let threshold = (delta - tw.log_sum_weight_subtree).exp() * tw.n_kept.max(1.0) / tw.n_kept;
-        if self.rng.gen::<f64>() < threshold {
-            let edge = if tw.go_right {
-                &tw.state_plus
-            } else {
-                &tw.state_minus
-            };
-            tw.q_prop.copy_from_slice(&edge.q);
-            tw.logp_prop = edge.logp;
-            tw.grad_prop.copy_from_slice(&edge.grad);
-        }
-        tw.step_i += 1;
-        if tw.step_i < tw.n_steps {
-            self.begin_edge_leapfrog(&mut tw);
-            self.phase = Phase::Tree(tw);
-            return;
-        }
-
-        // Subtree complete: multinomial merge into the trajectory.
-        if tw.log_sum_weight_subtree > tw.log_sum_weight {
-            take_proposal(&mut tw);
-        } else {
-            let accept_prob = (tw.log_sum_weight_subtree - tw.log_sum_weight).exp();
-            if self.rng.gen::<f64>() < accept_prob {
-                take_proposal(&mut tw);
-            }
-        }
-        tw.log_sum_weight = log_add_exp(tw.log_sum_weight, tw.log_sum_weight_subtree);
-        if uturn(&tw.state_minus, &tw.state_plus, &self.inv_mass) {
-            let depth_entered = tw.depth + 1;
-            self.apply_iteration_end(tw, false, depth_entered);
-            self.run_iterations();
-            return;
-        }
-        tw.depth += 1;
-        if tw.depth < self.cfg.max_depth {
-            self.init_subtree(&mut tw);
-            self.begin_edge_leapfrog(&mut tw);
-            self.phase = Phase::Tree(tw);
-            return;
-        }
-        let depth_entered = tw.depth;
-        self.apply_iteration_end(tw, false, depth_entered);
-        self.run_iterations();
-    }
-
-    /// Everything after the depth loop in [`nuts_sample_mut`]: accept the new
-    /// point, adapt during warmup, record draws after it. `depth_entered`
-    /// mirrors the sequential driver's count of tree doublings entered
-    /// this iteration (telemetry only — no effect on sampling).
-    fn apply_iteration_end(&mut self, tw: Box<TreeWalk>, diverged: bool, depth_entered: usize) {
-        let tw = *tw;
-        self.q = tw.q_new;
-        self.logp = tw.logp_new;
-        self.grad = tw.grad_new;
-        self.telemetry
-            .record_iteration(depth_entered, tw.n_leapfrog);
-
-        let accept_stat = if tw.n_leapfrog > 0 {
-            tw.sum_accept / tw.n_leapfrog as f64
-        } else {
-            0.0
-        };
-
-        if self.iter < self.cfg.warmup {
-            self.da.update(accept_stat, self.cfg.target_accept);
-            self.step_size = self.da.current();
-            if self.iter > self.cfg.warmup / 4 && self.iter < 3 * self.cfg.warmup / 4 {
-                self.welford_n += 1;
-                for i in 0..self.dim {
-                    let delta = self.q[i] - self.welford_mean[i];
-                    self.welford_mean[i] += delta / self.welford_n as f64;
-                    self.welford_m2[i] += delta * (self.q[i] - self.welford_mean[i]);
-                }
-            }
-            if self.iter == 3 * self.cfg.warmup / 4 && self.welford_n > 4 {
-                for i in 0..self.dim {
-                    let var = self.welford_m2[i] / (self.welford_n - 1) as f64;
-                    self.inv_mass[i] = var.max(1e-10);
-                }
-                self.da = DualAveraging::new(self.step_size);
-            }
-            if self.iter + 1 == self.cfg.warmup {
-                self.step_size = self.da.adapted().max(1e-8);
-            }
-        } else {
-            if diverged {
-                self.divergences += 1;
-            }
-            self.accept_sum += accept_stat;
-            self.accept_count += 1;
-            self.draws.push(self.q.clone());
-        }
-        self.iter += 1;
-    }
-
-    fn finish(self) -> NutsResult {
-        self.telemetry.flush(self.divergences, self.step_size);
-        NutsResult {
-            draws: self.draws,
-            divergences: self.divergences,
-            step_size: self.step_size,
-            mean_accept: if self.accept_count > 0 {
-                self.accept_sum / self.accept_count as f64
-            } else {
-                0.0
-            },
-            n_grad_evals: self.n_grad_evals,
-            cancelled: self.cancelled,
-        }
-    }
-}
-
-/// Second half of `leapfrog`: install the evaluated gradient (NaN density
-/// maps to `-inf` with the gradient kept, exactly as in the sequential
-/// `leapfrog`) and finish the momentum step.
-fn leapfrog_finish(s: &mut State, eps: f64, lp: f64, grad_in: &[f64]) {
-    s.grad.copy_from_slice(grad_in);
-    s.logp = if lp.is_nan() { f64::NEG_INFINITY } else { lp };
-    for (p, g) in s.p.iter_mut().zip(&s.grad) {
-        *p += 0.5 * eps * g;
-    }
-}
-
-/// The subtree's proposal replaces the trajectory's current proposal.
-fn take_proposal(tw: &mut TreeWalk) {
-    let TreeWalk {
-        q_new,
-        logp_new,
-        grad_new,
-        q_prop,
-        logp_prop,
-        grad_prop,
-        ..
-    } = tw;
-    q_new.copy_from_slice(q_prop);
-    *logp_new = *logp_prop;
-    grad_new.copy_from_slice(grad_prop);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1219,76 +664,6 @@ mod tests {
         assert_eq!(a[10], b[10]);
         let c = run_standard_normal(2, 43);
         assert_ne!(a[10], c[10]);
-    }
-
-    #[test]
-    fn lockstep_chains_match_sequential_chains_bitwise() {
-        // Smooth target and a divergence-prone banana: both must agree with
-        // the sequential sampler draw-for-draw, bit-for-bit.
-        let gaussian = |q: &[f64]| {
-            let lp: f64 = q.iter().map(|x| -0.5 * x * x).sum();
-            let grad: Vec<f64> = q.iter().map(|x| -x).collect();
-            (lp, grad)
-        };
-        let banana = |q: &[f64]| {
-            let (x, y) = (q[0], q[1]);
-            let lp = -0.5 * x * x - 0.5 * (y - x * x).powi(2) / 0.25;
-            let dldx = -x + (y - x * x) / 0.25 * 2.0 * x;
-            let dldy = -(y - x * x) / 0.25;
-            (lp, vec![dldx, dldy])
-        };
-        for target in [&gaussian as &dyn GradTarget, &banana as &dyn GradTarget] {
-            let configs: Vec<NutsConfig> = (0..3)
-                .map(|c| NutsConfig {
-                    warmup: 60,
-                    samples: 40,
-                    seed: 7 + c,
-                    ..Default::default()
-                })
-                .collect();
-            let inits = vec![vec![0.4, -0.3], vec![-1.0, 0.2], vec![0.0, 0.0]];
-
-            let mut batched = target;
-            let lockstep = nuts_sample_lockstep(&mut batched, inits.clone(), &configs);
-
-            for ((init, cfg), got) in inits.into_iter().zip(&configs).zip(&lockstep) {
-                let want = nuts_sample(target, init, cfg);
-                assert_eq!(want.draws, got.draws);
-                assert_eq!(want.divergences, got.divergences);
-                assert_eq!(want.step_size.to_bits(), got.step_size.to_bits());
-                assert_eq!(want.mean_accept.to_bits(), got.mean_accept.to_bits());
-                assert_eq!(want.n_grad_evals, got.n_grad_evals);
-            }
-        }
-    }
-
-    #[test]
-    fn lockstep_tolerates_heterogeneous_chain_lengths() {
-        let target = |q: &[f64]| (-0.5 * q[0] * q[0], vec![-q[0]]);
-        let configs = vec![
-            NutsConfig {
-                warmup: 20,
-                samples: 10,
-                seed: 11,
-                ..Default::default()
-            },
-            NutsConfig {
-                warmup: 80,
-                samples: 60,
-                seed: 12,
-                ..Default::default()
-            },
-        ];
-        let inits = vec![vec![0.5], vec![-0.5]];
-        let mut batched = &target;
-        let lockstep = nuts_sample_lockstep(&mut batched, inits.clone(), &configs);
-        assert_eq!(lockstep[0].draws.len(), 10);
-        assert_eq!(lockstep[1].draws.len(), 60);
-        for ((init, cfg), got) in inits.into_iter().zip(&configs).zip(&lockstep) {
-            let want = nuts_sample(&target, init, cfg);
-            assert_eq!(want.draws, got.draws);
-            assert_eq!(want.n_grad_evals, got.n_grad_evals);
-        }
     }
 
     #[test]

@@ -17,14 +17,14 @@
 //! rewritten samplers.
 //!
 //! A third tier, [`GradTargetBatch`], scores a *batch* of independent points
-//! in one call. Lockstep multi-chain samplers and multi-draw ELBO estimators
-//! hand the target all pending points at once, so lane-widened backends
+//! in one call. Multi-draw ELBO estimators and importance weighting hand
+//! the target all their points at once, so lane-widened backends
 //! (`gprob::dprog`'s struct-of-arrays register files) evaluate them with one
 //! forward/reverse sweep per lane group instead of one interpreter walk per
 //! point. The provided default simply loops [`GradTargetMut::logp_grad_into`]
 //! — point `i`'s result is bitwise identical either way, which is what lets
-//! the lockstep drivers promise per-chain bit-equality with the sequential
-//! samplers.
+//! the batched estimators promise bit-equality with their per-point
+//! counterparts.
 
 /// A log-density with gradient, evaluated on the unconstrained scale.
 pub trait GradTarget {

@@ -1,7 +1,7 @@
 //! `obs` — zero-dependency, lock-light process telemetry.
 //!
 //! Every performance-critical layer of the workspace (resolver/DProg
-//! lowering, the x86_64 JIT, lockstep NUTS, the serve tier) reports into
+//! lowering, the x86_64 JIT, NUTS, the serve tier) reports into
 //! one process-wide [`Registry`] of named metrics, and anything holding a
 //! [`Snapshot`] — a test, `Fit::profile()`, or a `stats` frame served over
 //! the wire — can read a consistent view of where time went.

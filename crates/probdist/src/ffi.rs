@@ -15,7 +15,7 @@
 //! outlives the call — `kind`/`constraint` point into the JIT's owned copy
 //! of the program, `out` points at scratch in the caller's stack frame.
 
-use crate::sweep::{lpdf_elem_partials, lpdf_elem_value};
+use crate::sweep::{lpdf_elem_partials_only, lpdf_elem_value};
 use crate::transform::Constraint;
 use crate::DistKind;
 
@@ -33,7 +33,7 @@ pub unsafe extern "C" fn elem_value_c(
     lpdf_elem_value(*kind, x, &[a0, a1, a2]).unwrap_or(f64::NAN)
 }
 
-/// `lpdf_elem_partials(*kind, x, &[a0, a1, a2])`: writes `[dx, d0, d1, d2]`
+/// `lpdf_elem_partials_only(*kind, x, &[a0, a1, a2])`: writes `[dx, d0, d1, d2]`
 /// to `out` and returns 1 when the kernel exists, returns 0 (leaving `out`
 /// untouched) when it does not — the branch the interpreter takes on `None`.
 ///
@@ -47,8 +47,8 @@ pub unsafe extern "C" fn elem_partials_c(
     a1: f64,
     a2: f64,
 ) -> i32 {
-    match lpdf_elem_partials(*kind, x, &[a0, a1, a2]) {
-        Some((_, dx, dp)) => {
+    match lpdf_elem_partials_only(*kind, x, &[a0, a1, a2]) {
+        Some((dx, dp)) => {
             *out = dx;
             *out.add(1) = dp[0];
             *out.add(2) = dp[1];

@@ -32,9 +32,9 @@ pub mod transform;
 
 pub use dist::{dist_from_kind, dist_from_name, Dist, DistError, DistKind, SampleValue, Support};
 pub use sweep::{
-    lpdf_elem_partials, lpdf_elem_partials_lanes, lpdf_elem_partials_only_lanes, lpdf_elem_value,
-    lpdf_elem_value_lanes, lpdf_elems, lpdf_sweep, lpdf_sweep_adjoint, normal_lpdf_const,
-    normal_lpdf_from_const, normal_partials_only, supports_elem, supports_sweep, sweep_arity,
-    AdjSink, SweepArg, SweepVals,
+    bernoulli_lpmf_from_logs, binomial_lpmf_from_logs, lpdf_elem_partials_only,
+    lpdf_elem_partials_only_lanes, lpdf_elem_value, lpdf_elem_value_lanes, lpdf_elems, lpdf_sweep,
+    normal_lpdf_const, normal_lpdf_from_const, normal_partials_only, supports_elem, supports_sweep,
+    sweep_arity, SweepArg, SweepVals,
 };
 pub use transform::Constraint;

@@ -132,10 +132,11 @@ pub fn supports_sweep(kind: DistKind) -> bool {
     )
 }
 
-/// Whether [`lpdf_elem_partials`] has a scalar kernel for this family — the
-/// sweep set plus `improper_uniform` (the comprehensive scheme's synthetic
-/// prior, which never appears in a source observation loop but is scored by
-/// the tape-free density programs of `gprob::dprog`).
+/// Whether [`lpdf_elem_value`] / [`lpdf_elem_partials_only`] have a scalar
+/// kernel for this family — the sweep set plus `improper_uniform` (the
+/// comprehensive scheme's synthetic prior, which never appears in a source
+/// observation loop but is scored by the tape-free density programs of
+/// `gprob::dprog`).
 pub fn supports_elem(kind: DistKind) -> bool {
     supports_sweep(kind) || kind == DistKind::ImproperUniform
 }
@@ -182,7 +183,7 @@ pub fn normal_lpdf_from_const(c: f64, x: f64, mu: f64, sigma: f64) -> f64 {
 
 /// The normal kernel's analytic partials alone, `(∂/∂x, ∂/∂mu, ∂/∂sigma)`,
 /// skipping the log-density value (and with it the per-element `ln`).
-/// Formulas match [`lpdf_elem_partials`] exactly.
+/// Formulas match the full normal kernel exactly.
 #[inline(always)]
 pub fn normal_partials_only(x: f64, mu: f64, sigma: f64) -> (f64, f64, f64) {
     let z = (x - mu) / sigma;
@@ -261,6 +262,62 @@ fn bernoulli_logit_elem(x: f64, l: f64, want: bool) -> (f64, f64, [f64; 3]) {
     }
 }
 
+/// The Bernoulli kernel's `∂lpmf/∂p` alone (zero out of support).
+#[inline(always)]
+fn bernoulli_dp(x: f64, p: f64) -> f64 {
+    let k = x.round();
+    if k == 1.0 {
+        1.0 / p
+    } else if k == 0.0 {
+        -1.0 / (1.0 - p)
+    } else {
+        0.0
+    }
+}
+
+/// The Bernoulli log mass given both logs of its probability, `ln p` and
+/// `ln(1-p)`. Callers that score many elements against one `p` take the
+/// logs once; the scalar kernel selects exactly `p.ln()` or
+/// `(1.0 - p).ln()`, so the hoisted form is bitwise identical.
+#[inline(always)]
+pub fn bernoulli_lpmf_from_logs(x: f64, ln_p: f64, ln_1mp: f64) -> f64 {
+    let k = x.round();
+    if k == 1.0 {
+        ln_p
+    } else if k == 0.0 {
+        ln_1mp
+    } else {
+        f64::NEG_INFINITY
+    }
+}
+
+/// The binomial log mass of `x` successes in `n` trials given both logs
+/// of the probability (see [`bernoulli_lpmf_from_logs`]); the scalar
+/// kernel evaluates this very function. `n` arrives as an untracked int
+/// (or rounded real) argument, matching `dist_from_kind`'s construction.
+#[inline(always)]
+pub fn binomial_lpmf_from_logs(x: f64, n: f64, ln_p: f64, ln_1mp: f64) -> f64 {
+    let (n, k) = (n.round(), x.round());
+    if k < 0.0 || k > n {
+        return f64::NEG_INFINITY;
+    }
+    let log_choose =
+        special::lgamma(n + 1.0) - special::lgamma(k + 1.0) - special::lgamma(n - k + 1.0);
+    log_choose + k * ln_p + (n - k) * ln_1mp
+}
+
+/// The binomial kernel's `∂lpmf/∂p` alone — no log-gamma terms (they
+/// only feed the mass itself); zero out of support.
+#[inline(always)]
+fn binomial_dp(x: f64, n: f64, p: f64) -> f64 {
+    let (n, k) = (n.round(), x.round());
+    if k < 0.0 || k > n {
+        0.0
+    } else {
+        k / p - (n - k) / (1.0 - p)
+    }
+}
+
 /// One element's log density plus its analytic partials, all in `f64`.
 ///
 /// Returns `(lpdf, d lpdf/dx, [d lpdf/d argj; 3])`. Partials are computed
@@ -293,19 +350,21 @@ fn elem(kind: DistKind, x: f64, a: &[f64; 3], want: bool) -> (f64, f64, [f64; 3]
             )
         }
         DistKind::Bernoulli => {
+            // Only the selected log is taken (see `bernoulli_lpmf_from_logs`).
             let p = a[0];
             let k = x.round();
-            if k == 1.0 {
-                (p.ln(), 0.0, [if want { 1.0 / p } else { 0.0 }, 0.0, 0.0])
+            let lp = if k == 1.0 {
+                p.ln()
             } else if k == 0.0 {
-                (
-                    (1.0 - p).ln(),
-                    0.0,
-                    [if want { -1.0 / (1.0 - p) } else { 0.0 }, 0.0, 0.0],
-                )
+                (1.0 - p).ln()
             } else {
-                (neg_inf, zero.1, zero.2)
-            }
+                neg_inf
+            };
+            (
+                lp,
+                0.0,
+                [if want { bernoulli_dp(x, p) } else { 0.0 }, 0.0, 0.0],
+            )
         }
         DistKind::BernoulliLogit => bernoulli_logit_elem(x, a[0], want),
         DistKind::Poisson => {
@@ -403,20 +462,14 @@ fn elem(kind: DistKind, x: f64, a: &[f64; 3], want: bool) -> (f64, f64, [f64; 3]
             )
         }
         DistKind::Binomial => {
-            // n arrives through an untracked int (or rounded real) argument,
-            // matching `dist_from_kind`'s construction; its partial is zero.
-            let (n, p) = (a[0].round(), a[1]);
-            let k = x.round();
-            if k < 0.0 || k > n {
-                return (neg_inf, zero.1, zero.2);
-            }
-            let log_choose =
-                special::lgamma(n + 1.0) - special::lgamma(k + 1.0) - special::lgamma(n - k + 1.0);
-            let lp = log_choose + k * p.ln() + (n - k) * (1.0 - p).ln();
-            if !want {
-                return (lp, 0.0, [0.0; 3]);
-            }
-            (lp, 0.0, [0.0, k / p - (n - k) / (1.0 - p), 0.0])
+            // n's partial is zero (an untracked count).
+            let (n, p) = (a[0], a[1]);
+            let lp = binomial_lpmf_from_logs(x, n, p.ln(), (1.0 - p).ln());
+            (
+                lp,
+                0.0,
+                [0.0, if want { binomial_dp(x, n, p) } else { 0.0 }, 0.0],
+            )
         }
         DistKind::BinomialLogit => {
             let (n, l) = (a[0].round(), a[1]);
@@ -524,22 +577,9 @@ fn elem(kind: DistKind, x: f64, a: &[f64; 3], want: bool) -> (f64, f64, [f64; 3]
     }
 }
 
-/// One element's log density and analytic partials, public form: returns
-/// `(lpdf, ∂lpdf/∂x, [∂lpdf/∂argⱼ; 3])`, or `None` for families without a
-/// kernel ([`supports_elem`] is the guard). This is the scalar reverse rule
-/// shared by the fused tape nodes ([`lpdf_sweep`]) and the tape-free density
-/// programs of `gprob::dprog`, which evaluate value + gradient with no tape
-/// at all.
-#[inline]
-pub fn lpdf_elem_partials(kind: DistKind, x: f64, args: &[f64; 3]) -> Option<(f64, f64, [f64; 3])> {
-    if !supports_elem(kind) {
-        return None;
-    }
-    Some(elem(kind, x, args, true))
-}
-
-/// One element's log density only (no partials) — the forward half of
-/// [`lpdf_elem_partials`].
+/// One element's log density only (no partials) — the forward half of the
+/// tape-free density programs of `gprob::dprog`, whose reverse half is
+/// [`lpdf_elem_partials_only`].
 #[inline]
 pub fn lpdf_elem_value(kind: DistKind, x: f64, args: &[f64; 3]) -> Option<f64> {
     if !supports_elem(kind) {
@@ -594,67 +634,26 @@ pub fn lpdf_elem_value_lanes<const L: usize>(
     Some(out)
 }
 
-/// Lane-widened form of [`lpdf_elem_partials`]: `L` points' log densities
-/// and analytic partials in one call, returned lane-major as
-/// `(lpdf[l], ∂lpdf/∂x[l], [∂lpdf/∂argⱼ[l]; 3])`. Lane `l` computes exactly
-/// what a scalar [`lpdf_elem_partials`] call on lane `l`'s inputs would.
+/// One element's analytic partials **without** the log-density value,
+/// `(∂lpdf/∂x, [∂lpdf/∂argⱼ; 3])`, or `None` for families without a kernel
+/// ([`supports_elem`] is the guard): the `L = 1` instance of
+/// [`lpdf_elem_partials_only_lanes`], and the scalar reverse rule of the
+/// tape-free density programs of `gprob::dprog`.
 #[inline]
-#[allow(clippy::type_complexity)]
-pub fn lpdf_elem_partials_lanes<const L: usize>(
-    kind: DistKind,
-    xs: &[f64; L],
-    args: &[[f64; L]; 3],
-) -> Option<([f64; L], [f64; L], [[f64; L]; 3])> {
-    if !supports_elem(kind) {
-        return None;
-    }
-    let mut lp = [0.0; L];
-    let mut dx = [0.0; L];
-    let mut dp = [[0.0; L]; 3];
-    let mut store = |l: usize, v: f64, d: f64, p: [f64; 3]| {
-        lp[l] = v;
-        dx[l] = d;
-        dp[0][l] = p[0];
-        dp[1][l] = p[1];
-        dp[2][l] = p[2];
-    };
-    match kind {
-        DistKind::Normal => {
-            for l in 0..L {
-                let (v, d, p) = normal_elem(xs[l], args[0][l], args[1][l], true);
-                store(l, v, d, p);
-            }
-        }
-        DistKind::Cauchy => {
-            for l in 0..L {
-                let (v, d, p) = cauchy_elem(xs[l], args[0][l], args[1][l], true);
-                store(l, v, d, p);
-            }
-        }
-        DistKind::BernoulliLogit => {
-            for l in 0..L {
-                let (v, d, p) = bernoulli_logit_elem(xs[l], args[0][l], true);
-                store(l, v, d, p);
-            }
-        }
-        _ => {
-            for l in 0..L {
-                let a = [args[0][l], args[1][l], args[2][l]];
-                let (v, d, p) = elem(kind, xs[l], &a, true);
-                store(l, v, d, p);
-            }
-        }
-    }
-    Some((lp, dx, dp))
+pub fn lpdf_elem_partials_only(kind: DistKind, x: f64, args: &[f64; 3]) -> Option<(f64, [f64; 3])> {
+    let (dx, dp) =
+        lpdf_elem_partials_only_lanes::<1>(kind, &[x], &[[args[0]], [args[1]], [args[2]]])?;
+    Some((dx[0], [dp[0][0], dp[1][0], dp[2][0]]))
 }
 
 /// Lane-widened analytic partials **without** the log-density value — the
 /// reverse sweeps of `gprob::dprog` never consume it, and for the hot
 /// families the value is where the transcendentals live (`ln` for normal
-/// and Cauchy, `softplus` for Bernoulli-logit). Partial formulas are
-/// exactly [`lpdf_elem_partials`]'s, so every adjoint produced here is
-/// bitwise the one the full kernel computes; other families fall back to
-/// the full kernel and simply discard the value.
+/// and Cauchy, `softplus` for Bernoulli-logit, `lgamma` for binomial).
+/// Partial formulas are exactly the full kernel's (the same helper
+/// functions), so every adjoint produced here is bitwise the one the
+/// fused tape node records; other families run the full kernel and simply
+/// discard the value.
 #[inline]
 #[allow(clippy::type_complexity)]
 pub fn lpdf_elem_partials_only_lanes<const L: usize>(
@@ -687,6 +686,16 @@ pub fn lpdf_elem_partials_only_lanes<const L: usize>(
         DistKind::BernoulliLogit => {
             for l in 0..L {
                 dp[0][l] = bernoulli_logit_dlogit(xs[l], args[0][l]);
+            }
+        }
+        DistKind::Bernoulli => {
+            for l in 0..L {
+                dp[0][l] = bernoulli_dp(xs[l], args[0][l]);
+            }
+        }
+        DistKind::Binomial => {
+            for l in 0..L {
+                dp[1][l] = binomial_dp(xs[l], args[0][l], args[1][l]);
             }
         }
         _ => {
@@ -740,98 +749,6 @@ fn arg_windows<'a, T: Real>(args: &[SweepArg<'a, T>], n: usize) -> [ArgWindow<'a
         };
     }
     out
-}
-
-/// An adjoint accumulation target for one operand of a batched sweep.
-pub enum AdjSink<'a> {
-    /// The operand needs no adjoint (untracked data).
-    Skip,
-    /// A scalar broadcast operand: partials sum over the sweep.
-    Scalar(&'a mut f64),
-    /// A per-element operand: one adjoint slot per element.
-    Elems(&'a mut [f64]),
-}
-
-impl AdjSink<'_> {
-    #[inline]
-    fn add(&mut self, i: usize, v: f64) {
-        match self {
-            AdjSink::Skip => {}
-            AdjSink::Scalar(s) => **s += v,
-            AdjSink::Elems(e) => e[i] += v,
-        }
-    }
-}
-
-/// The reverse rule of [`lpdf_sweep`] callable without any tape `Var`s: for
-/// every element, accumulates `seed · ∂lpdf/∂(operand)` into the caller's
-/// adjoint sinks (`+=`, so fan-in composes). `seed` is the adjoint of the
-/// sweep's summed log density (1.0 when the sweep feeds the log density
-/// directly).
-///
-/// The partials are exactly the ones [`lpdf_sweep`] records on its fused tape
-/// node — this entry point exists so backends that keep no tape (the
-/// `gprob::dprog` flat density programs) reuse the identical formulas.
-///
-/// # Errors
-/// Same argument validation as [`lpdf_sweep`] (plus `improper_uniform`,
-/// whose partials are identically zero).
-pub fn lpdf_sweep_adjoint(
-    kind: DistKind,
-    xs: SweepVals<'_, f64>,
-    args: &[SweepArg<'_, f64>],
-    seed: f64,
-    x_sink: &mut AdjSink<'_>,
-    arg_sinks: &mut [AdjSink<'_>; 3],
-) -> Result<(), DistError> {
-    if !supports_elem(kind) {
-        return Err(DistError::new(format!(
-            "{}: no batched sweep kernel",
-            kind.name()
-        )));
-    }
-    let k = sweep_arity(kind);
-    if args.len() < k {
-        return Err(DistError::new(format!(
-            "{}: expected {k} arguments, got {}",
-            kind.name(),
-            args.len()
-        )));
-    }
-    let args = &args[..k];
-    let n = xs.len();
-    for a in args {
-        if let Some(len) = a.slice_len() {
-            if len != n {
-                return Err(DistError::new(format!(
-                    "broadcast length mismatch in {}: {len} vs {n}",
-                    kind.name()
-                )));
-            }
-        }
-    }
-    let aw = arg_windows(args, n);
-    let mut body = |i: usize, xv: f64| {
-        let abuf = [aw[0].value(i), aw[1].value(i), aw[2].value(i)];
-        let (_, dx, dp) = elem(kind, xv, &abuf, true);
-        x_sink.add(i, dx * seed);
-        for (j, sink) in arg_sinks.iter_mut().enumerate().take(k) {
-            sink.add(i, dp[j] * seed);
-        }
-    };
-    match xs {
-        SweepVals::Reals(v) => {
-            for (i, x) in v[..n].iter().enumerate() {
-                body(i, x.value());
-            }
-        }
-        SweepVals::Ints(v) => {
-            for (i, &x) in v[..n].iter().enumerate() {
-                body(i, x as f64);
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Sum of element-wise log densities of a batched observation site, with
@@ -1210,8 +1127,9 @@ mod tests {
 
     #[test]
     fn adjoint_entry_matches_the_fused_tape_gradients() {
-        // y[i] ~ normal(mu[i], sigma): compare lpdf_sweep_adjoint (no Var
-        // anywhere) against the fused tape node's gradients.
+        // y[i] ~ normal(mu[i], sigma): the tape-free reverse rule
+        // (lpdf_elem_partials_only per element, no Var anywhere) against
+        // the fused tape node's gradients.
         let ys = [0.5, -0.2, 1.7];
         let mus = [0.0, 0.3, 1.0];
         let sigma = 0.8;
@@ -1231,38 +1149,47 @@ mod tests {
         let tape_grad = grad(fused, &wrt);
         // Tape-free reverse with a non-unit seed (adjoint composition).
         let seed = 1.7;
-        let mut dx = [0.0f64; 3];
-        let mut dmu = [0.0f64; 3];
         let mut dsigma = 0.0f64;
-        lpdf_sweep_adjoint(
-            DistKind::Normal,
-            SweepVals::Reals(&ys),
-            &[SweepArg::Reals(&mus), SweepArg::Scalar(sigma)],
-            seed,
-            &mut AdjSink::Elems(&mut dx),
-            &mut [
-                AdjSink::Elems(&mut dmu),
-                AdjSink::Scalar(&mut dsigma),
-                AdjSink::Skip,
-            ],
-        )
-        .unwrap();
         for i in 0..3 {
-            assert!((dx[i] - seed * tape_grad[i]).abs() < 1e-12);
-            assert!((dmu[i] - seed * tape_grad[3 + i]).abs() < 1e-12);
+            let (dx, dp) =
+                lpdf_elem_partials_only(DistKind::Normal, ys[i], &[mus[i], sigma, 0.0]).unwrap();
+            assert!((dx * seed - seed * tape_grad[i]).abs() < 1e-12);
+            assert!((dp[0] * seed - seed * tape_grad[3 + i]).abs() < 1e-12);
+            dsigma += dp[1] * seed;
         }
         assert!((dsigma - seed * tape_grad[6]).abs() < 1e-12);
-        // The public elem entry agrees with the sweep decomposition.
-        let (lp, d_x, d_args) =
-            lpdf_elem_partials(DistKind::Normal, ys[0], &[mus[0], sigma, 0.0]).unwrap();
-        assert!(
-            (lp - lpdf_elem_value(DistKind::Normal, ys[0], &[mus[0], sigma, 0.0]).unwrap()).abs()
-                < 1e-15
-        );
-        assert!((d_x * seed - dx[0]).abs() < 1e-12);
-        assert!((d_args[0] * seed - dmu[0]).abs() < 1e-12);
+        // For every family, the partials-only kernel is bitwise the full
+        // kernel's partials, and the hoisted-log forms bitwise its values.
+        for kind in KINDS {
+            let (xs, a) = case(kind);
+            let mut args = [0.0; 3];
+            args[..a.len()].copy_from_slice(&a);
+            for &x in xs.iter().chain(&[-1.0, 0.5, 11.0]) {
+                let (lp, dx, dp) = elem(kind, x, &args, true);
+                let (ox, op) = lpdf_elem_partials_only(kind, x, &args).unwrap();
+                assert_eq!(ox.to_bits(), dx.to_bits(), "{} dx at {x}", kind.name());
+                for j in 0..3 {
+                    assert_eq!(
+                        op[j].to_bits(),
+                        dp[j].to_bits(),
+                        "{} d{j} at {x}",
+                        kind.name()
+                    );
+                }
+                let hoisted = match kind {
+                    DistKind::Bernoulli => {
+                        bernoulli_lpmf_from_logs(x, args[0].ln(), (1.0 - args[0]).ln())
+                    }
+                    DistKind::Binomial => {
+                        binomial_lpmf_from_logs(x, args[0], args[1].ln(), (1.0 - args[1]).ln())
+                    }
+                    _ => continue,
+                };
+                assert_eq!(hoisted.to_bits(), lp.to_bits(), "{} lp at {x}", kind.name());
+            }
+        }
         // Unsupported families report None.
-        assert!(lpdf_elem_partials(DistKind::Dirichlet, 0.5, &[1.0, 1.0, 0.0]).is_none());
+        assert!(lpdf_elem_partials_only(DistKind::Dirichlet, 0.5, &[1.0, 1.0, 0.0]).is_none());
     }
 
     #[test]

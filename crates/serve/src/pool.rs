@@ -12,9 +12,11 @@
 //!
 //! Jobs are opaque closures; the serving layer enqueues one job per request
 //! and the job streams its own response frames (each chain flushed as it
-//! finishes). Chains *within* a request shard across threads inside the
-//! job (the `Session` layer owns that), so a single expensive request still
-//! uses multiple cores while cheap requests flow through other workers.
+//! finishes). Chains *within* a request do not shard: the job runs them
+//! back to back on its worker (`Session::threads(1)`), since the pool
+//! already keeps one worker per core. Parallelism comes from concurrent
+//! requests, so one multi-chain request never oversubscribes the cores the
+//! other workers are using.
 //!
 //! # Panic isolation
 //!

@@ -7,9 +7,10 @@
 //! [`deepstan::Session`] against the cached model — **zero** compile,
 //! resolve, or DProg-lower work on a cache hit — and streams response
 //! frames back through a channel the connection thread drains to the
-//! socket. Per-chain draws flush as chains finish (thread-per-chain NUTS
-//! reports in completion order while other chains still sample), so a
-//! client sees its first chain before the request completes. When the
+//! socket. Per-chain draws flush as chains finish (a request's NUTS
+//! chains run back to back on its worker and report in index order while
+//! later chains still sample), so a client sees its first chain before
+//! the request completes. When the
 //! worker queue is full the connection answers `busy <retry_after_ms>`
 //! immediately — see the backpressure contract in [`crate::pool`].
 //!
@@ -60,7 +61,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded queue depth; submits beyond this bounce with `busy`.
     pub queue_capacity: usize,
-    /// Upper bound on a request's `chains` (protects the thread budget).
+    /// Upper bound on a request's `chains`. Chains run back to back on the
+    /// request's one worker, so this bounds how long one request can hold
+    /// that worker (its run length), not how many threads it uses.
     pub max_chains: usize,
     /// Maximum bound models kept in the cache (`None` = unbounded). Beyond
     /// this the least-recently-used model is evicted; compiled programs
@@ -470,6 +473,9 @@ fn run_request(shared: &Shared, request: Request, send: &mpsc::Sender<String>) {
         .with_bound_model(cached.scheme, cached.model.clone())
         .workspace_pool(cached.pool.clone())
         .chains(request.chains.clamp(1, shared.max_chains))
+        // The pool already keeps one worker per core: a request's chains
+        // run back to back on its worker instead of spawning more threads.
+        .threads(1)
         .seed(request.seed)
         .cancel(cancel.clone());
     let method = match request.method {

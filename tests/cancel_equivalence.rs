@@ -114,7 +114,8 @@ fn pre_cancelled_tokens_yield_empty_partial_fits_not_errors() {
     cancel.cancel();
     let program = DeepStan::compile(COIN).unwrap();
 
-    // NUTS: cancelled before the first iteration — empty chains, no error.
+    // NUTS: cancelled before any chain started — empty chains that never
+    // evaluated the density, no error.
     let fit = program
         .session(&coin_data())
         .unwrap()
@@ -129,6 +130,7 @@ fn pre_cancelled_tokens_yield_empty_partial_fits_not_errors() {
         .unwrap();
     assert!(fit.cancelled);
     assert!(fit.chains.iter().all(|c| c.draws.is_empty()));
+    assert!(fit.chains.iter().all(|c| c.n_grad_evals == 0));
 
     // Importance: cancelled before the first particle.
     let fit = program

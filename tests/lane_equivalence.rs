@@ -10,12 +10,13 @@
 //! * declined models batch through the per-point fallback, byte-identically;
 //! * the aligned lane register pools must never reallocate across same-shape
 //!   batched evaluations (capacities and base pointers pinned);
-//! * multi-chain lockstep NUTS through the `Session` API must reproduce the
-//!   sequential per-chain runs draw-for-draw;
+//! * multi-chain NUTS through the `Session` API must give every chain the
+//!   same draws whatever thread it ran on (one chain runs one point per
+//!   gradient evaluation, so this pins placement, not lanes);
 //! * a proptest over random chain states confirms batch-vs-single bitwise
 //!   identity on arbitrary inputs.
 
-use deepstan::{DeepStan, Method, NutsSettings};
+use deepstan::{ChainResult, DeepStan, Method, NutsSettings};
 use gprob::value::{Env, Value};
 use gprob::GModel;
 use proptest::prelude::*;
@@ -224,52 +225,84 @@ fn lane_register_pools_never_reallocate_across_same_shape_evals() {
     }
 }
 
-/// Multi-chain lockstep NUTS through the Session API reproduces sequential
-/// per-chain runs draw-for-draw (chain `c` of a `chains(C)` run equals the
-/// single chain of a `chains(1)` run seeded `base + c`).
+/// Chain placement never changes a chain: across `threads(1)`,
+/// `threads(2)` and the default thread count, every chain's draws,
+/// gradient-evaluation count and divergences are bitwise identical, and
+/// chain `c` equals the single chain of a run seeded `seed + c`. The
+/// observer always runs on the calling thread, and with one thread it sees
+/// the chains in index order. radon_hierarchical covers the tape path.
 #[test]
-fn lockstep_session_chains_match_sequential_session_chains() {
-    let entry = model_zoo::find("eight_schools_noncentered").unwrap();
-    let data = entry.dataset(0);
-    let data_refs: Vec<(&str, Value<f64>)> =
-        data.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+fn session_chains_are_bitwise_independent_of_thread_placement() {
     let settings = NutsSettings {
-        warmup: 150,
-        samples: 150,
+        warmup: 80,
+        samples: 80,
         ..Default::default()
     };
-    let program = DeepStan::compile_named(entry.name, entry.source).unwrap();
-    let lockstep = program
-        .session(&data_refs)
-        .unwrap()
-        .scheme(Scheme::Mixed)
-        .chains(3)
-        .seed(42)
-        .run(Method::Nuts(settings.clone()))
-        .unwrap();
-    assert_eq!(lockstep.n_chains(), 3);
-    for c in 0..3 {
-        let sequential = program
-            .session(&data_refs)
-            .unwrap()
-            .scheme(Scheme::Mixed)
-            .chains(1)
-            .seed(42 + c as u64)
-            .run(Method::Nuts(settings.clone()))
-            .unwrap();
+    for name in [
+        "coin",
+        "kidscore_momhs",
+        "eight_schools_noncentered",
+        "garch11",
+        "radon_hierarchical",
+    ] {
+        let entry = model_zoo::find(name).unwrap();
+        let data = entry.dataset(0);
+        let data_refs: Vec<(&str, Value<f64>)> =
+            data.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+        let program = DeepStan::compile_named(entry.name, entry.source).unwrap();
+        let caller = std::thread::current().id();
+        let run = |threads: Option<usize>| {
+            let mut session = program.session(&data_refs).unwrap().chains(3).seed(42);
+            if let Some(t) = threads {
+                session = session.threads(t);
+            }
+            let mut seen = Vec::new();
+            let fit = session
+                .run_with_observer(Method::Nuts(settings.clone()), &mut |c, _| {
+                    assert_eq!(
+                        std::thread::current().id(),
+                        caller,
+                        "{name}: observer thread"
+                    );
+                    seen.push(c);
+                })
+                .unwrap();
+            (fit, seen)
+        };
+        let (base, order) = run(Some(1));
         assert_eq!(
-            lockstep.chains[c].draws, sequential.chains[0].draws,
-            "lockstep chain {c} diverged from its sequential run"
+            order,
+            [0, 1, 2],
+            "{name}: one thread observes in index order"
         );
-        assert_eq!(
-            lockstep.chains[c].n_grad_evals,
-            sequential.chains[0].n_grad_evals
-        );
-        assert_eq!(
-            lockstep.chains[c].divergences,
-            sequential.chains[0].divergences
-        );
+        for threads in [Some(2), None] {
+            let (fit, mut seen) = run(threads);
+            seen.sort_unstable();
+            assert_eq!(seen, [0, 1, 2], "{name}: every chain observed once");
+            for c in 0..3 {
+                assert_same_chain(name, c, &fit.chains[c], &base.chains[c]);
+            }
+        }
+        for c in 0..3 {
+            let single = program
+                .session(&data_refs)
+                .unwrap()
+                .chains(1)
+                .seed(42 + c as u64)
+                .run(Method::Nuts(settings.clone()))
+                .unwrap();
+            assert_same_chain(name, c, &single.chains[0], &base.chains[c]);
+        }
     }
+}
+
+fn assert_same_chain(name: &str, c: usize, got: &ChainResult, want: &ChainResult) {
+    assert_eq!(got.draws.len(), want.draws.len(), "{name} chain {c}");
+    for (g, w) in got.draws.iter().flatten().zip(want.draws.iter().flatten()) {
+        assert_eq!(g.to_bits(), w.to_bits(), "{name} chain {c}: {g} vs {w}");
+    }
+    assert_eq!(got.n_grad_evals, want.n_grad_evals, "{name} chain {c}");
+    assert_eq!(got.divergences, want.divergences, "{name} chain {c}");
 }
 
 proptest! {

@@ -247,8 +247,17 @@ fn bench_density(c: &mut Criterion) {
     // Single-point gradients of the small models whose observe sweeps take
     // the hoisted kernels: Bernoulli (coin) and binomial (seeds_binomial)
     // with a scalar probability, normal with a scalar scale
-    // (implicit_prior). Interpreted and routed (JIT) rows.
-    for name in ["coin", "seeds_binomial", "implicit_prior"] {
+    // (implicit_prior); plus the models whose JIT reverse pass keeps hot
+    // adjoints in registers: blr (a matrix-vector product) and
+    // kidscore_mom_work (two broadcast coefficients per element-wise op).
+    // Interpreted and routed (JIT) rows.
+    for name in [
+        "coin",
+        "seeds_binomial",
+        "implicit_prior",
+        "blr",
+        "kidscore_mom_work",
+    ] {
         let entry = model_zoo::find(name).unwrap();
         let program = DeepStan::compile_named(name, entry.source).unwrap();
         let data = entry.dataset(5);

@@ -32,9 +32,35 @@
 //! callee-saved, live across shim calls), `rax` = scratch for immediate
 //! materialization and call targets, `xmm0..xmm4` = expression operands,
 //! `xmm5` = negation mask scratch, `xmm6` = read-modify-write scratch for
-//! `+=` sequences, `xmm7` = the zero for guard compares. Values that must
-//! survive a shim call (the adjoint seed `g`, the `MaxVal` accumulator) are
-//! spilled to fixed frame slots, since every XMM register is caller-saved.
+//! `+=` sequences, `xmm7` = the zero for guard compares, `xmm8..xmm15` =
+//! the adjoint register cache (below). Values that must survive a shim call
+//! (the adjoint seed `g`, the `MaxVal` accumulator) are spilled to fixed
+//! frame slots, since every XMM register is caller-saved.
+//!
+//! # Adjoint register cache
+//!
+//! A broadcast operand (`alpha` in `alpha + beta * x[i]`) has its adjoint
+//! bumped once per element, and as a memory read-modify-write each bump
+//! waits on the previous one's store. The reverse pass therefore keeps the
+//! running sums of hot adjoint slots in registers, one *region* at a time:
+//!
+//! * a region is one reverse arm of `VBin`/`VUn`/`Dot`/`Sum`/`MatVec`/
+//!   `AddScoreSpan`, or a whole unrolled `Loop`, whose emitted code calls no
+//!   shim (the shims clobber every XMM register, so a call would end the
+//!   region); regions do not nest;
+//! * the slots the region bumps at least twice, at most eight ranked by
+//!   bump count, are loaded into `xmm8..xmm15` before the region's first
+//!   zero-guard and stored back after its last, so both paths of every
+//!   guard see one register state; the other slots keep the memory bump;
+//! * inside the region every bump of a cached slot is one `addsd` into its
+//!   register and every seed read of it (`load_adj`) reads the register,
+//!   so no instruction reaches a cached slot through memory and aliasing
+//!   needs no separate check.
+//!
+//! Each slot still receives exactly the same `addsd` operands in the same
+//! order; only where the running sum lives changes. The cache is therefore
+//! bitwise invisible: values, gradients and every sampler statistic built
+//! on them are unchanged.
 
 use super::super::UF;
 use super::super::{constraint_partials, BinF, DProg, Decline, Op, A, VA};
@@ -53,6 +79,9 @@ const OFF_OUT: i32 = 16; // 4-slot shim output: [dx, d0, d1, d2]
 const OFF_G: i32 = 48; // adjoint seed spilled across shim calls
 const OFF_ACC: i32 = 56; // reduction accumulator live across shim calls
 const FRAME: u8 = 64;
+
+/// Adjoint cache capacity per reverse region: the registers xmm8..xmm15.
+const CACHE_REGS: usize = 8;
 
 /// The emitted buffer plus the byte offsets of its two entry points.
 pub(super) struct Emitted {
@@ -114,23 +143,31 @@ impl Asm {
         self.imm32(disp as u32);
     }
 
-    /// Two-byte-opcode SSE instruction, register-register form.
-    fn sse_rr(&mut self, prefix: u8, opcode: u8, dst: u8, src: u8) {
-        self.byte(prefix);
-        self.byte(0x0F);
-        self.byte(opcode);
-        self.byte(0xC0 | (dst << 3) | src);
+    /// A REX prefix carrying the high bits of the ModRM `reg` (`REX.R`) and
+    /// `rm`/base (`REX.B`) fields, omitted when both are clear.
+    fn rex(&mut self, reg_hi: bool, rm_hi: bool) {
+        if reg_hi || rm_hi {
+            self.byte(0x40 | (u8::from(reg_hi) << 2) | u8::from(rm_hi));
+        }
     }
 
-    /// Two-byte-opcode SSE instruction with a `[base + disp]` operand.
-    fn sse_mem(&mut self, prefix: u8, opcode: u8, xmm: u8, base: Base, disp: i32) {
+    /// Two-byte-opcode SSE instruction, register-register form (xmm0–15).
+    fn sse_rr(&mut self, prefix: u8, opcode: u8, dst: u8, src: u8) {
         self.byte(prefix);
-        if base != Base::Rsp {
-            self.byte(0x41); // REX.B for r12/r13
-        }
+        self.rex(dst >= 8, src >= 8);
         self.byte(0x0F);
         self.byte(opcode);
-        self.mem_modrm(xmm, base, disp);
+        self.byte(0xC0 | ((dst & 7) << 3) | (src & 7));
+    }
+
+    /// Two-byte-opcode SSE instruction with a `[base + disp]` operand
+    /// (xmm0–15; `REX.B` selects r12/r13).
+    fn sse_mem(&mut self, prefix: u8, opcode: u8, xmm: u8, base: Base, disp: i32) {
+        self.byte(prefix);
+        self.rex(xmm >= 8, base != Base::Rsp);
+        self.byte(0x0F);
+        self.byte(opcode);
+        self.mem_modrm(xmm & 7, base, disp);
     }
 
     /// `ucomisd` result dispatch for the interpreter's `if g != 0.0` guard:
@@ -165,6 +202,9 @@ impl Asm {
 struct E<'a> {
     dp: &'a DProg,
     a: Asm,
+    /// The adjoint register cache of the open reverse region:
+    /// `(adjoint slot, xmm register)` pairs, empty outside regions.
+    cache: Vec<(usize, u8)>,
 }
 
 /// Where a scalar/vector operand's adjoint lands, if anywhere — `None`
@@ -222,6 +262,90 @@ fn has_reverse_effect(op: &Op) -> bool {
     }
 }
 
+/// Whether the reverse arm of `op` can own an adjoint register cache: the
+/// span ops and loops, when the emitted reverse code makes no shim call
+/// (the shims clobber every XMM register).
+fn opens_region(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::VBin { .. }
+            | Op::VUn { .. }
+            | Op::Dot { .. }
+            | Op::Sum { .. }
+            | Op::MatVec { .. }
+            | Op::AddScoreSpan { .. }
+            | Op::Loop { .. }
+    ) && !reverse_calls(op)
+}
+
+/// Whether the emitted reverse code of `op` calls a shim. Mirrors the
+/// inline arms of `bin_reverse_body`, `un_reverse_body` and the
+/// `Constrain` reverse.
+fn reverse_calls(op: &Op) -> bool {
+    let bin_calls = |f: &BinF| !matches!(f, BinF::Add | BinF::Sub | BinF::Mul | BinF::Div);
+    let un_calls = |f: &UF| {
+        !matches!(
+            f,
+            UF::R(UnFn::Neg | UnFn::Exp | UnFn::Ln | UnFn::Sqrt | UnFn::Recip | UnFn::Tanh)
+        )
+    };
+    match op {
+        Op::Bin { f, .. } | Op::VBin { f, .. } => bin_calls(f),
+        Op::Un { f, .. } | Op::VUn { f, .. } => un_calls(f),
+        Op::Constrain { kind, .. } => !matches!(kind, Constraint::None),
+        Op::ScoreElem { .. }
+        | Op::ScoreVal { .. }
+        | Op::ScoreSweep { .. }
+        | Op::ScoreSweepVal { .. } => true,
+        Op::Loop { body, .. } => body
+            .iter()
+            .any(|op| has_reverse_effect(op) && reverse_calls(op)),
+        Op::Mov { .. }
+        | Op::Dot { .. }
+        | Op::Sum { .. }
+        | Op::MatVec { .. }
+        | Op::MaxVal { .. }
+        | Op::AddScore { .. }
+        | Op::AddScoreSpan { .. } => false,
+    }
+}
+
+/// Appends every adjoint slot the reverse arm of `op` bumps, once per
+/// bump (the region cache ranks slots by these counts).
+fn bump_slots(op: &Op, iter: u32, out: &mut Vec<usize>) {
+    match op {
+        Op::Bin { a, b, .. } => out.extend(a_adj(*a, iter).into_iter().chain(a_adj(*b, iter))),
+        Op::Un { a, .. } | Op::Mov { a, .. } | Op::AddScore { a } => out.extend(a_adj(*a, iter)),
+        Op::VBin { a, b, len, .. } | Op::Dot { a, b, len, .. } => {
+            for i in 0..*len as usize {
+                out.extend(va_adj(*a, i).into_iter().chain(va_adj(*b, i)));
+            }
+        }
+        Op::VUn { a, len, .. } | Op::Sum { a, len, .. } | Op::AddScoreSpan { a, len } => {
+            out.extend((0..*len as usize).filter_map(|i| va_adj(*a, i)));
+        }
+        Op::MatVec { x, rows, cols, .. } => {
+            for _ in 0..*rows {
+                out.extend((0..*cols as usize).filter_map(|c| va_adj(*x, c)));
+            }
+        }
+        Op::Constrain { src, len, .. } => out.extend(*src as usize..(*src + *len) as usize),
+        Op::Loop { trip, body } => {
+            for it in 0..*trip {
+                for op in body {
+                    bump_slots(op, it, out);
+                }
+            }
+        }
+        // Shim-calling or adjoint-free: never inside a cached region.
+        Op::MaxVal { .. }
+        | Op::ScoreElem { .. }
+        | Op::ScoreVal { .. }
+        | Op::ScoreSweep { .. }
+        | Op::ScoreSweepVal { .. } => {}
+    }
+}
+
 impl<'a> E<'a> {
     fn err(msg: &str) -> Decline {
         Decline::new(format!("jit: {msg}"))
@@ -266,17 +390,61 @@ impl<'a> E<'a> {
         self.a.sse_mem(0xF2, 0x11, x, Base::Regs, (idx * 8) as i32);
     }
 
-    fn load_adj(&mut self, x: u8, idx: usize) {
-        self.a.sse_mem(0xF2, 0x10, x, Base::Adj, (idx * 8) as i32);
+    /// The cache register holding `adj[idx]`, if the open region cached it.
+    fn cached(&self, idx: usize) -> Option<u8> {
+        self.cache.iter().find(|&&(s, _)| s == idx).map(|&(_, x)| x)
     }
 
-    /// `adj[idx] += xmm<x>` (through xmm6; `x` must not be 6).
+    fn load_adj(&mut self, x: u8, idx: usize) {
+        match self.cached(idx) {
+            Some(c) => self.a.sse_rr(0x66, 0x28, x, c), // movapd x, xmm<c>
+            None => self.a.sse_mem(0xF2, 0x10, x, Base::Adj, (idx * 8) as i32),
+        }
+    }
+
+    /// `adj[idx] += xmm<x>`: one `addsd` into the cache register when the
+    /// slot is cached, else a read-modify-write through xmm6 (`x` must not
+    /// be 6).
     fn add_adj(&mut self, x: u8, idx: usize) {
         debug_assert_ne!(x, 6);
+        if let Some(c) = self.cached(idx) {
+            self.a.sse_rr(0xF2, 0x58, c, x); // addsd xmm<c>, x → adj + v
+            return;
+        }
         let d = (idx * 8) as i32;
         self.a.sse_mem(0xF2, 0x10, 6, Base::Adj, d);
         self.a.sse_rr(0xF2, 0x58, 6, x); // addsd xmm6, x → adj + v
         self.a.sse_mem(0xF2, 0x11, 6, Base::Adj, d);
+    }
+
+    /// Opens a reverse region: loads the (up to [`CACHE_REGS`]) slots the
+    /// region bumps most often, at least twice each, into xmm8.. —
+    /// before the region's first guard.
+    fn fill_cache(&mut self, op: &Op, iter: u32) {
+        debug_assert!(self.cache.is_empty());
+        let mut slots = Vec::new();
+        bump_slots(op, iter, &mut slots);
+        slots.sort_unstable();
+        let mut hot: Vec<(usize, usize)> = slots
+            .chunk_by(|a, b| a == b)
+            .filter(|run| run.len() >= 2)
+            .map(|run| (run.len(), run[0]))
+            .collect();
+        // Most bumps first; ties by slot, so emission is deterministic.
+        hot.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        for (k, &(_, slot)) in hot.iter().take(CACHE_REGS).enumerate() {
+            let x = 8 + k as u8;
+            self.a.sse_mem(0xF2, 0x10, x, Base::Adj, (slot * 8) as i32);
+            self.cache.push((slot, x));
+        }
+    }
+
+    /// Closes the region: stores every cached running sum back, after the
+    /// region's last guard.
+    fn flush_cache(&mut self) {
+        for (slot, x) in std::mem::take(&mut self.cache) {
+            self.a.sse_mem(0xF2, 0x11, x, Base::Adj, (slot * 8) as i32);
+        }
     }
 
     /// `[rsp+off] += xmm<x>` — the score/jac accumulators.
@@ -329,6 +497,8 @@ impl<'a> E<'a> {
     // -- calls -------------------------------------------------------------
 
     fn call(&mut self, f: usize) {
+        // Every XMM register is caller-saved: no call may sit in a region.
+        debug_assert!(self.cache.is_empty(), "shim call inside a cached region");
         self.a.bytes(&[0x48, 0xB8]); // mov rax, imm64
         self.a.imm64(f as u64);
         self.a.bytes(&[0xFF, 0xD0]); // call rax
@@ -789,230 +959,249 @@ impl<'a> E<'a> {
             if !has_reverse_effect(op) {
                 continue;
             }
-            match op {
-                Op::Bin { f, dst, a, b } => {
-                    self.load_adj(0, dst.at(iter));
+            // Regions do not nest: inside a cached loop, the body's span
+            // ops bump through the loop's cache.
+            let region = self.cache.is_empty() && opens_region(op);
+            if region {
+                self.fill_cache(op, iter);
+            }
+            self.reverse_op(op, iter)?;
+            if region {
+                self.flush_cache();
+            }
+        }
+        Ok(())
+    }
+
+    /// One op's reverse arm, exactly as the interpreter's `reverse_iter`.
+    fn reverse_op(&mut self, op: &Op, iter: u32) -> Result<(), Decline> {
+        match op {
+            Op::Bin { f, dst, a, b } => {
+                self.load_adj(0, dst.at(iter));
+                let skip = self.guard_nonzero(0);
+                let (av, bv) = (*a, *b);
+                self.bin_reverse_body(
+                    f,
+                    &move |e, x| e.load_a(x, av, iter),
+                    &move |e, x| e.load_a(x, bv, iter),
+                    a_adj(av, iter),
+                    a_adj(bv, iter),
+                )?;
+                self.a.bind(skip);
+            }
+            Op::Un { f, dst, a } => {
+                let Some(ai) = a_adj(*a, iter) else {
+                    return Ok(());
+                };
+                self.load_adj(0, dst.at(iter));
+                let skip = self.guard_nonzero(0);
+                let av = *a;
+                self.un_reverse_body(f, &move |e, x| e.load_a(x, av, iter), ai, dst.at(iter))?;
+                self.a.bind(skip);
+            }
+            Op::Mov { dst, a } => {
+                let Some(ai) = a_adj(*a, iter) else {
+                    return Ok(());
+                };
+                self.load_adj(0, dst.at(iter));
+                let skip = self.guard_nonzero(0);
+                self.add_adj(0, ai); // bump(a, g)
+                self.a.bind(skip);
+            }
+            Op::VBin { f, dst, a, b, len } => {
+                for i in 0..*len as usize {
+                    self.check_size()?;
+                    self.load_adj(0, *dst as usize + i);
                     let skip = self.guard_nonzero(0);
                     let (av, bv) = (*a, *b);
                     self.bin_reverse_body(
                         f,
-                        &move |e, x| e.load_a(x, av, iter),
-                        &move |e, x| e.load_a(x, bv, iter),
-                        a_adj(av, iter),
-                        a_adj(bv, iter),
+                        &move |e, x| e.load_va(x, av, i),
+                        &move |e, x| e.load_va(x, bv, i),
+                        va_adj(av, i),
+                        va_adj(bv, i),
                     )?;
                     self.a.bind(skip);
                 }
-                Op::Un { f, dst, a } => {
-                    let Some(ai) = a_adj(*a, iter) else { continue };
-                    self.load_adj(0, dst.at(iter));
+            }
+            Op::VUn { f, dst, a, len } => {
+                for i in 0..*len as usize {
+                    self.check_size()?;
+                    let Some(ai) = va_adj(*a, i) else { continue };
+                    self.load_adj(0, *dst as usize + i);
                     let skip = self.guard_nonzero(0);
                     let av = *a;
-                    self.un_reverse_body(f, &move |e, x| e.load_a(x, av, iter), ai, dst.at(iter))?;
+                    self.un_reverse_body(
+                        f,
+                        &move |e, x| e.load_va(x, av, i),
+                        ai,
+                        *dst as usize + i,
+                    )?;
                     self.a.bind(skip);
                 }
-                Op::Mov { dst, a } => {
-                    let Some(ai) = a_adj(*a, iter) else { continue };
-                    self.load_adj(0, dst.at(iter));
+            }
+            Op::Dot { dst, a, b, len } => {
+                self.load_adj(0, *dst as usize);
+                let skip = self.guard_nonzero(0);
+                for i in 0..*len as usize {
+                    self.check_size()?;
+                    if let Some(ai) = va_adj(*a, i) {
+                        self.load_va(1, *b, i)?; // da = vb
+                        self.mul_g_bump(1, 0, ai);
+                    }
+                    if let Some(bi) = va_adj(*b, i) {
+                        self.load_va(1, *a, i)?; // db = va
+                        self.mul_g_bump(1, 0, bi);
+                    }
+                }
+                self.a.bind(skip);
+            }
+            Op::Sum { dst, a, len } => {
+                self.load_adj(0, *dst as usize);
+                let skip = self.guard_nonzero(0);
+                for i in 0..*len as usize {
+                    self.check_size()?;
+                    if let Some(ai) = va_adj(*a, i) {
+                        self.add_adj(0, ai); // vbump(a, i, g)
+                    }
+                }
+                self.a.bind(skip);
+            }
+            Op::MatVec {
+                dst,
+                mat,
+                x,
+                rows,
+                cols,
+            } => {
+                let cols_u = *cols as usize;
+                for r in 0..*rows as usize {
+                    self.check_size()?;
+                    self.load_adj(0, *dst as usize + r);
                     let skip = self.guard_nonzero(0);
-                    self.add_adj(0, ai); // bump(a, g)
-                    self.a.bind(skip);
-                }
-                Op::VBin { f, dst, a, b, len } => {
-                    for i in 0..*len as usize {
-                        self.check_size()?;
-                        self.load_adj(0, *dst as usize + i);
-                        let skip = self.guard_nonzero(0);
-                        let (av, bv) = (*a, *b);
-                        self.bin_reverse_body(
-                            f,
-                            &move |e, x| e.load_va(x, av, i),
-                            &move |e, x| e.load_va(x, bv, i),
-                            va_adj(av, i),
-                            va_adj(bv, i),
-                        )?;
-                        self.a.bind(skip);
-                    }
-                }
-                Op::VUn { f, dst, a, len } => {
-                    for i in 0..*len as usize {
-                        self.check_size()?;
-                        let Some(ai) = va_adj(*a, i) else { continue };
-                        self.load_adj(0, *dst as usize + i);
-                        let skip = self.guard_nonzero(0);
-                        let av = *a;
-                        self.un_reverse_body(
-                            f,
-                            &move |e, x| e.load_va(x, av, i),
-                            ai,
-                            *dst as usize + i,
-                        )?;
-                        self.a.bind(skip);
-                    }
-                }
-                Op::Dot { dst, a, b, len } => {
-                    self.load_adj(0, *dst as usize);
-                    let skip = self.guard_nonzero(0);
-                    for i in 0..*len as usize {
-                        self.check_size()?;
-                        if let Some(ai) = va_adj(*a, i) {
-                            self.load_va(1, *b, i)?; // da = vb
-                            self.mul_g_bump(1, 0, ai);
-                        }
-                        if let Some(bi) = va_adj(*b, i) {
-                            self.load_va(1, *a, i)?; // db = va
-                            self.mul_g_bump(1, 0, bi);
+                    for c in 0..cols_u {
+                        if let Some(xi) = va_adj(*x, c) {
+                            let m = self.table_f(*mat, r * cols_u + c)?;
+                            self.load_const(1, m);
+                            self.mul_g_bump(1, 0, xi); // m · g
                         }
                     }
                     self.a.bind(skip);
                 }
-                Op::Sum { dst, a, len } => {
-                    self.load_adj(0, *dst as usize);
-                    let skip = self.guard_nonzero(0);
-                    for i in 0..*len as usize {
-                        self.check_size()?;
-                        if let Some(ai) = va_adj(*a, i) {
-                            self.add_adj(0, ai); // vbump(a, i, g)
-                        }
-                    }
-                    self.a.bind(skip);
-                }
-                Op::MatVec {
-                    dst,
-                    mat,
-                    x,
-                    rows,
-                    cols,
-                } => {
-                    let cols_u = *cols as usize;
-                    for r in 0..*rows as usize {
-                        self.check_size()?;
-                        self.load_adj(0, *dst as usize + r);
-                        let skip = self.guard_nonzero(0);
-                        for c in 0..cols_u {
-                            if let Some(xi) = va_adj(*x, c) {
-                                let m = self.table_f(*mat, r * cols_u + c)?;
-                                self.load_const(1, m);
-                                self.mul_g_bump(1, 0, xi); // m · g
-                            }
-                        }
-                        self.a.bind(skip);
-                    }
-                }
-                Op::MaxVal { .. } => {}
-                Op::Constrain {
-                    kind,
-                    src,
-                    dst,
-                    len,
-                } => {
-                    // Unguarded, forward element order, exactly
-                    // `adj[src+c] += g·dxdu + djdu`.
-                    for c in 0..*len as usize {
-                        self.check_size()?;
-                        let src_i = *src as usize + c;
-                        let dst_i = *dst as usize + c;
-                        if matches!(kind, Constraint::None) {
-                            let (dxdu, djdu) = constraint_partials(*kind, 0.0);
-                            self.load_adj(0, dst_i);
-                            self.load_const(1, dxdu);
-                            self.a.sse_rr(0xF2, 0x59, 0, 1); // g · dxdu
-                            self.load_const(1, djdu);
-                            self.a.sse_rr(0xF2, 0x58, 0, 1); // + djdu
-                            self.add_adj(0, src_i);
-                        } else {
-                            self.load_reg(0, src_i); // u
-                            self.mov_rdi_imm(kind as *const Constraint as usize as u64);
-                            self.lea_rsi_rsp(OFF_OUT);
-                            self.call(abi::constrain_partials_c as *const () as usize);
-                            self.load_adj(0, dst_i);
-                            self.a.sse_mem(0xF2, 0x59, 0, Base::Rsp, OFF_OUT); // g·dxdu
-                            self.a.sse_mem(0xF2, 0x58, 0, Base::Rsp, OFF_OUT + 8); // +djdu
-                            self.add_adj(0, src_i);
-                        }
+            }
+            Op::MaxVal { .. } => {}
+            Op::Constrain {
+                kind,
+                src,
+                dst,
+                len,
+            } => {
+                // Unguarded, forward element order, exactly
+                // `adj[src+c] += g·dxdu + djdu`.
+                for c in 0..*len as usize {
+                    self.check_size()?;
+                    let src_i = *src as usize + c;
+                    let dst_i = *dst as usize + c;
+                    if matches!(kind, Constraint::None) {
+                        let (dxdu, djdu) = constraint_partials(*kind, 0.0);
+                        self.load_adj(0, dst_i);
+                        self.load_const(1, dxdu);
+                        self.a.sse_rr(0xF2, 0x59, 0, 1); // g · dxdu
+                        self.load_const(1, djdu);
+                        self.a.sse_rr(0xF2, 0x58, 0, 1); // + djdu
+                        self.add_adj(0, src_i);
+                    } else {
+                        self.load_reg(0, src_i); // u
+                        self.mov_rdi_imm(kind as *const Constraint as usize as u64);
+                        self.lea_rsi_rsp(OFF_OUT);
+                        self.call(abi::constrain_partials_c as *const () as usize);
+                        self.load_adj(0, dst_i);
+                        self.a.sse_mem(0xF2, 0x59, 0, Base::Rsp, OFF_OUT); // g·dxdu
+                        self.a.sse_mem(0xF2, 0x58, 0, Base::Rsp, OFF_OUT + 8); // +djdu
+                        self.add_adj(0, src_i);
                     }
                 }
-                Op::ScoreElem { kind, x, args, k } => {
-                    // No guard and no seed multiply: bumps are dx / dp[j]
-                    // directly, skipped only when the kernel returns None.
-                    self.score_call_args(kind, x, args, *k, iter)?;
-                    self.lea_rsi_rsp(OFF_OUT);
-                    self.call(abi::elem_partials_c as *const () as usize);
-                    self.a.bytes(&[0x85, 0xC0]); // test eax, eax
-                    let skip = self.a.jz();
-                    if let Some(xi) = a_adj(*x, iter) {
-                        self.reload(1, OFF_OUT);
-                        self.add_adj(1, xi);
-                    }
-                    for (j, arg) in args.iter().enumerate().take(*k as usize) {
-                        if let Some(aj) = a_adj(*arg, iter) {
-                            self.reload(1, OFF_OUT + 8 + 8 * j as i32);
-                            self.add_adj(1, aj);
-                        }
-                    }
-                    self.a.bind(skip);
+            }
+            Op::ScoreElem { kind, x, args, k } => {
+                // No guard and no seed multiply: bumps are dx / dp[j]
+                // directly, skipped only when the kernel returns None.
+                self.score_call_args(kind, x, args, *k, iter)?;
+                self.lea_rsi_rsp(OFF_OUT);
+                self.call(abi::elem_partials_c as *const () as usize);
+                self.a.bytes(&[0x85, 0xC0]); // test eax, eax
+                let skip = self.a.jz();
+                if let Some(xi) = a_adj(*x, iter) {
+                    self.reload(1, OFF_OUT);
+                    self.add_adj(1, xi);
                 }
-                Op::ScoreVal {
-                    kind,
-                    dst,
-                    x,
-                    args,
-                    k,
-                } => {
-                    self.load_adj(0, dst.at(iter));
-                    let guard = self.guard_nonzero(0);
-                    self.spill(0, OFF_G);
-                    self.score_call_args(kind, x, args, *k, iter)?;
-                    self.lea_rsi_rsp(OFF_OUT);
-                    self.call(abi::elem_partials_c as *const () as usize);
-                    self.a.bytes(&[0x85, 0xC0]);
-                    let skip = self.a.jz();
-                    if let Some(xi) = a_adj(*x, iter) {
-                        self.reload(1, OFF_OUT);
-                        self.a.sse_mem(0xF2, 0x59, 1, Base::Rsp, OFF_G); // dx·g
-                        self.add_adj(1, xi);
+                for (j, arg) in args.iter().enumerate().take(*k as usize) {
+                    if let Some(aj) = a_adj(*arg, iter) {
+                        self.reload(1, OFF_OUT + 8 + 8 * j as i32);
+                        self.add_adj(1, aj);
                     }
-                    for (j, arg) in args.iter().enumerate().take(*k as usize) {
-                        if let Some(aj) = a_adj(*arg, iter) {
-                            self.reload(1, OFF_OUT + 8 + 8 * j as i32);
-                            self.a.sse_mem(0xF2, 0x59, 1, Base::Rsp, OFF_G);
-                            self.add_adj(1, aj);
-                        }
+                }
+                self.a.bind(skip);
+            }
+            Op::ScoreVal {
+                kind,
+                dst,
+                x,
+                args,
+                k,
+            } => {
+                self.load_adj(0, dst.at(iter));
+                let guard = self.guard_nonzero(0);
+                self.spill(0, OFF_G);
+                self.score_call_args(kind, x, args, *k, iter)?;
+                self.lea_rsi_rsp(OFF_OUT);
+                self.call(abi::elem_partials_c as *const () as usize);
+                self.a.bytes(&[0x85, 0xC0]);
+                let skip = self.a.jz();
+                if let Some(xi) = a_adj(*x, iter) {
+                    self.reload(1, OFF_OUT);
+                    self.a.sse_mem(0xF2, 0x59, 1, Base::Rsp, OFF_G); // dx·g
+                    self.add_adj(1, xi);
+                }
+                for (j, arg) in args.iter().enumerate().take(*k as usize) {
+                    if let Some(aj) = a_adj(*arg, iter) {
+                        self.reload(1, OFF_OUT + 8 + 8 * j as i32);
+                        self.a.sse_mem(0xF2, 0x59, 1, Base::Rsp, OFF_G);
+                        self.add_adj(1, aj);
                     }
-                    self.a.bind(skip);
-                    self.a.bind(guard);
                 }
-                Op::ScoreSweep { .. } => {
-                    self.sweep_call_args(op, true);
-                    self.load_const(0, 1.0); // seed
-                    self.call(abi::sweep_reverse_c as *const () as usize);
+                self.a.bind(skip);
+                self.a.bind(guard);
+            }
+            Op::ScoreSweep { .. } => {
+                self.sweep_call_args(op, true);
+                self.load_const(0, 1.0); // seed
+                self.call(abi::sweep_reverse_c as *const () as usize);
+            }
+            Op::ScoreSweepVal { dst, .. } => {
+                // Seed = adj[dst], passed unguarded (the shim's early
+                // return on 0.0 is the interpreter's own).
+                self.sweep_call_args(op, true);
+                self.load_adj(0, *dst as usize);
+                self.call(abi::sweep_reverse_c as *const () as usize);
+            }
+            Op::AddScore { a } => {
+                if let Some(ai) = a_adj(*a, iter) {
+                    self.load_const(0, 1.0);
+                    self.add_adj(0, ai);
                 }
-                Op::ScoreSweepVal { dst, .. } => {
-                    // Seed = adj[dst], passed unguarded (the shim's early
-                    // return on 0.0 is the interpreter's own).
-                    self.sweep_call_args(op, true);
-                    self.load_adj(0, *dst as usize);
-                    self.call(abi::sweep_reverse_c as *const () as usize);
-                }
-                Op::AddScore { a } => {
-                    if let Some(ai) = a_adj(*a, iter) {
-                        self.load_const(0, 1.0);
+            }
+            Op::AddScoreSpan { a, len } => {
+                self.load_const(0, 1.0);
+                for i in 0..*len as usize {
+                    self.check_size()?;
+                    if let Some(ai) = va_adj(*a, i) {
                         self.add_adj(0, ai);
                     }
                 }
-                Op::AddScoreSpan { a, len } => {
-                    self.load_const(0, 1.0);
-                    for i in 0..*len as usize {
-                        self.check_size()?;
-                        if let Some(ai) = va_adj(*a, i) {
-                            self.add_adj(0, ai);
-                        }
-                    }
-                }
-                Op::Loop { trip, body } => {
-                    for it in (0..*trip).rev() {
-                        self.reverse_ops(body, it)?;
-                    }
+            }
+            Op::Loop { trip, body } => {
+                for it in (0..*trip).rev() {
+                    self.reverse_ops(body, it)?;
                 }
             }
         }
@@ -1035,6 +1224,7 @@ pub(super) fn emit(dp: &DProg) -> Result<Emitted, Decline> {
         a: Asm {
             code: Vec::with_capacity(4096),
         },
+        cache: Vec::new(),
     };
     let value_off = 0;
     e.prologue();

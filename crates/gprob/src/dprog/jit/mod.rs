@@ -22,10 +22,12 @@
 //! The emitted frame is `push rbp; push r12; push r13; sub rsp, 64` — three
 //! pushes keep `rsp ≡ 0 (mod 16)` at every call site, as the ABI requires.
 //! `r12`/`r13` hold the `regs`/`adj` base pointers for the whole function
-//! (callee-saved, so they survive shim calls); all media registers are
-//! operand scratch. The 64-byte frame holds the `score`/`jac` accumulators,
-//! a 4-slot shim out-buffer, and spill slots for values live across calls
-//! (see `emit.rs` for the exact layout and XMM allocation).
+//! (callee-saved, so they survive shim calls); `xmm0..xmm7` are operand
+//! scratch and `xmm8..xmm15` hold the reverse pass's cached adjoint sums
+//! within a call-free region. The 64-byte frame holds the `score`/`jac`
+//! accumulators, a 4-slot shim out-buffer, and spill slots for values live
+//! across calls (see `emit.rs` for the exact layout, XMM allocation, and
+//! the adjoint register cache).
 //!
 //! Everything beyond inline SSE2 arithmetic — transcendentals, score
 //! kernels, batched sweeps, non-trivial constraint transforms — is a call

@@ -21,6 +21,15 @@
 //!     or pooled scratch and the draws write straight into the target
 //!     container, consuming the RNG in exactly the scalar loop's order.
 //!
+//!   A sweep argument that mentions the loop variable
+//!   (`alpha + b1 * x1[i] + b2 * x2[i]`) is *lifted to a column*: evaluated
+//!   once over the whole `[lo, hi]` window — loop-invariant slots as
+//!   scalars, `base[i + c]` as a copy of the window, `+ - * /` and unary
+//!   minus column-wise with the interpreter's int → real promotion — so
+//!   each element is bitwise what per-element evaluation gives. Shapes the
+//!   lift does not cover (integer ⊕ integer arithmetic, calls, ternaries)
+//!   evaluate element by element.
+//!
 //!   Every lowered loop keeps its original scalar form as a runtime
 //!   `fallback`, so shapes (or evaluation errors) that do not admit the
 //!   batched path reproduce the scalar behavior byte for byte.
@@ -48,8 +57,8 @@ use stan_frontend::ast::{AssignOp, Expr, FunDecl, Stmt};
 use crate::eval::{eval_binary, set_nested, EvalCtx, FnTable};
 use crate::ir::GProbProgram;
 use crate::resolved::{
-    affine_offset, classify_arg, mentions_slot, Frame, RDecl, RExpr, RGExpr, ResolvedProgram,
-    Resolver, SweepArgSpec,
+    affine_offset, classify_arg, mentions_slot, split_access, Frame, RDecl, RExpr, RGExpr,
+    ResolvedProgram, Resolver, SweepArgSpec,
 };
 use crate::reval::{default_rvalue, reval_expr, reval_ref, slice_window, RCtx, RefValue};
 use crate::value::{Env, RuntimeError, Value};
@@ -1061,11 +1070,20 @@ impl GqEval<'_, '_> {
                     _ => return None,
                 },
                 SweepArgSpec::Elementwise(e) => {
-                    buf.clear();
-                    buf.reserve(n);
-                    for v in lo..=hi {
-                        frame.set(loop_slot, Value::Int(v));
-                        buf.push(reval_expr(e, frame, ctx).ok()?.as_real().ok()?);
+                    match lift_column(e, loop_slot, lo, hi, frame) {
+                        Some(Col::Reals(col)) => {
+                            *buf = col;
+                            // The loop slot as the per-element loop leaves it.
+                            frame.set(loop_slot, Value::Int(hi));
+                        }
+                        _ => {
+                            buf.clear();
+                            buf.reserve(n);
+                            for v in lo..=hi {
+                                frame.set(loop_slot, Value::Int(v));
+                                buf.push(reval_expr(e, frame, ctx).ok()?.as_real().ok()?);
+                            }
+                        }
                     }
                     *kind = ArgKind::Elems;
                 }
@@ -1284,6 +1302,110 @@ impl GqEval<'_, '_> {
         let lo = reval_expr(&sweep.lo, frame, self.ctx).ok()?.as_int().ok()?;
         let hi = reval_expr(&sweep.hi, frame, self.ctx).ok()?.as_int().ok()?;
         Some((lo, hi))
+    }
+}
+
+/// An affine sweep argument evaluated over the whole `[lo, hi]` window:
+/// a broadcast scalar or one value per element.
+enum Col {
+    Int(i64),
+    Real(f64),
+    Ints(Vec<i64>),
+    Reals(Vec<f64>),
+}
+
+impl Col {
+    fn is_int(&self) -> bool {
+        matches!(self, Col::Int(_) | Col::Ints(_))
+    }
+
+    fn is_scalar(&self) -> bool {
+        matches!(self, Col::Int(_) | Col::Real(_))
+    }
+
+    /// Element `k` promoted to real (`eval_binary`'s `as f64`).
+    fn at(&self, k: usize) -> f64 {
+        match self {
+            Col::Int(i) => *i as f64,
+            Col::Real(x) => *x,
+            Col::Ints(v) => v[k] as f64,
+            Col::Reals(v) => v[k],
+        }
+    }
+}
+
+/// Evaluates an element-wise sweep argument once over the window instead
+/// of once per element: loop-invariant slots and literals become scalars,
+/// `base[v + c]` a copy of the window, and `+ - * /` and unary minus apply
+/// column-wise with `eval_binary`'s scalar promotion (int ⊕ real → real),
+/// so every element is bitwise what the per-element loop computes. Any
+/// other shape — int ⊕ int (integer division), calls, ternaries — returns
+/// `None` and keeps the per-element loop.
+fn lift_column(e: &RExpr, loop_slot: u32, lo: i64, hi: i64, frame: &Frame<f64>) -> Option<Col> {
+    use stan_frontend::ast::{BinOp, UnOp};
+    let n = (hi - lo + 1) as usize;
+    Some(match e {
+        RExpr::IntLit(i) => Col::Int(*i),
+        RExpr::RealLit(x) => Col::Real(*x),
+        RExpr::Slot(s) if *s != loop_slot => match frame.get(*s)? {
+            Value::Int(i) => Col::Int(*i),
+            Value::Real(x) => Col::Real(*x),
+            _ => return None,
+        },
+        RExpr::Index(..) => {
+            let access = split_access(e, loop_slot)?;
+            let RExpr::Slot(base) = access.base else {
+                return None;
+            };
+            match slice_window(frame.get(base)?, lo, hi, access.offset)? {
+                SweepVals::Reals(v) => Col::Reals(v.to_vec()),
+                SweepVals::Ints(v) => Col::Ints(v.to_vec()),
+            }
+        }
+        RExpr::Unary(UnOp::Neg, a) => match lift_column(a, loop_slot, lo, hi, frame)? {
+            Col::Real(x) => Col::Real(-x),
+            Col::Reals(mut v) => {
+                v.iter_mut().for_each(|x| *x = -*x);
+                Col::Reals(v)
+            }
+            Col::Int(_) | Col::Ints(_) => return None,
+        },
+        RExpr::Binary(op, a, b) => {
+            let a = lift_column(a, loop_slot, lo, hi, frame)?;
+            let b = lift_column(b, loop_slot, lo, hi, frame)?;
+            if a.is_int() && b.is_int() {
+                return None;
+            }
+            match op {
+                BinOp::Add => zip_cols(a, b, n, |x, y| x + y),
+                BinOp::Sub => zip_cols(a, b, n, |x, y| x - y),
+                BinOp::Mul => zip_cols(a, b, n, |x, y| x * y),
+                BinOp::Div => zip_cols(a, b, n, |x, y| x / y),
+                _ => return None,
+            }
+        }
+        _ => return None,
+    })
+}
+
+/// `f` element-wise over two columns (at least one real), reusing a real
+/// column's buffer when there is one.
+fn zip_cols(a: Col, b: Col, n: usize, f: impl Fn(f64, f64) -> f64) -> Col {
+    match (a, b) {
+        (Col::Reals(mut v), b) => {
+            for (k, x) in v.iter_mut().enumerate() {
+                *x = f(*x, b.at(k));
+            }
+            Col::Reals(v)
+        }
+        (a, Col::Reals(mut v)) => {
+            for (k, y) in v.iter_mut().enumerate() {
+                *y = f(a.at(k), *y);
+            }
+            Col::Reals(v)
+        }
+        (a, b) if a.is_scalar() && b.is_scalar() => Col::Real(f(a.at(0), b.at(0))),
+        (a, b) => Col::Reals((0..n).map(|k| f(a.at(k), b.at(k))).collect()),
     }
 }
 

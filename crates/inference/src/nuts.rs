@@ -254,6 +254,20 @@ pub fn nuts_sample_mut<T: GradTargetMut + ?Sized>(
     let mut step_size = da.current();
     let mut cancelled = false;
 
+    // Trajectory buffers reused across iterations: the two edge states and
+    // the subtree proposal. `q`/`logp`/`grad` double as the running
+    // multinomial sample, and an accepted proposal swaps in.
+    let new_state = || State {
+        q: vec![0.0; dim],
+        p: vec![0.0; dim],
+        logp,
+        grad: vec![0.0; dim],
+    };
+    let mut state_minus = new_state();
+    let mut state_plus = new_state();
+    let mut q_prop = vec![0.0; dim];
+    let mut grad_prop = vec![0.0; dim];
+
     for iter in 0..total {
         if config.cancel.is_cancelled() {
             cancelled = true;
@@ -262,28 +276,20 @@ pub fn nuts_sample_mut<T: GradTargetMut + ?Sized>(
         let warming_up = iter < config.warmup;
 
         // Sample momentum p ~ N(0, M) where M = diag(1 / inv_mass).
-        let p: Vec<f64> = (0..dim)
-            .map(|i| standard_normal(&mut rng) / inv_mass[i].sqrt())
-            .collect();
+        for (p, im) in state_plus.p.iter_mut().zip(&inv_mass) {
+            *p = standard_normal(&mut rng) / im.sqrt();
+        }
 
-        let joint0 = logp - kinetic(&p, &inv_mass);
+        let joint0 = logp - kinetic(&state_plus.p, &inv_mass);
 
-        // Multinomial NUTS tree doubling.
-        let mut state_minus = State {
-            q: q.clone(),
-            p: p.clone(),
-            logp,
-            grad: grad.clone(),
-        };
-        let mut state_plus = State {
-            q: q.clone(),
-            p,
-            logp,
-            grad: grad.clone(),
-        };
-        let mut q_new = q.clone();
-        let mut logp_new = logp;
-        let mut grad_new = grad.clone();
+        // Multinomial NUTS tree doubling; both edges start at the current
+        // point.
+        state_minus.p.copy_from_slice(&state_plus.p);
+        for s in [&mut state_minus, &mut state_plus] {
+            s.q.copy_from_slice(&q);
+            s.logp = logp;
+            s.grad.copy_from_slice(&grad);
+        }
         let mut log_sum_weight = 0.0f64; // log weight of the initial point
         let mut sum_accept = 0.0;
         let mut n_leapfrog = 0usize;
@@ -294,9 +300,9 @@ pub fn nuts_sample_mut<T: GradTargetMut + ?Sized>(
             depth_entered = depth + 1;
             let go_right = rng.gen::<bool>();
             let mut log_sum_weight_subtree = f64::NEG_INFINITY;
-            let mut q_prop = q_new.clone();
-            let mut logp_prop = logp_new;
-            let mut grad_prop = grad_new.clone();
+            q_prop.copy_from_slice(&q);
+            let mut logp_prop = logp;
+            grad_prop.copy_from_slice(&grad);
 
             let ok = {
                 let edge = if go_right {
@@ -328,18 +334,14 @@ pub fn nuts_sample_mut<T: GradTargetMut + ?Sized>(
                 break;
             }
 
-            // Multinomial sampling across the subtree.
-            if log_sum_weight_subtree > log_sum_weight {
-                q_new = q_prop;
-                logp_new = logp_prop;
-                grad_new = grad_prop;
-            } else {
-                let accept_prob = (log_sum_weight_subtree - log_sum_weight).exp();
-                if rng.gen::<f64>() < accept_prob {
-                    q_new = q_prop;
-                    logp_new = logp_prop;
-                    grad_new = grad_prop;
-                }
+            // Multinomial sampling across the subtree (the uniform is drawn
+            // only when the subtree is the lighter one).
+            if log_sum_weight_subtree > log_sum_weight
+                || rng.gen::<f64>() < (log_sum_weight_subtree - log_sum_weight).exp()
+            {
+                std::mem::swap(&mut q, &mut q_prop);
+                logp = logp_prop;
+                std::mem::swap(&mut grad, &mut grad_prop);
             }
             log_sum_weight = log_add_exp(log_sum_weight, log_sum_weight_subtree);
 
@@ -349,9 +351,6 @@ pub fn nuts_sample_mut<T: GradTargetMut + ?Sized>(
             }
         }
 
-        q = q_new;
-        logp = logp_new;
-        grad = grad_new;
         telemetry.record_iteration(depth_entered, n_leapfrog);
 
         let accept_stat = if n_leapfrog > 0 {
@@ -483,20 +482,17 @@ fn kinetic(p: &[f64], inv_mass: &[f64]) -> f64 {
 }
 
 fn uturn(minus: &State, plus: &State, inv_mass: &[f64]) -> bool {
-    let dq: Vec<f64> = plus.q.iter().zip(&minus.q).map(|(a, b)| a - b).collect();
-    let forward: f64 = dq
-        .iter()
-        .zip(&plus.p)
-        .zip(inv_mass)
-        .map(|((d, p), im)| d * p * im)
-        .sum();
-    let backward: f64 = dq
-        .iter()
-        .zip(&minus.p)
-        .zip(inv_mass)
-        .map(|((d, p), im)| d * p * im)
-        .sum();
-    forward < 0.0 || backward < 0.0
+    // `dq · p · M⁻¹` at an edge, with `dq = q⁺ − q⁻` formed per element.
+    let along = |p: &[f64]| -> f64 {
+        plus.q
+            .iter()
+            .zip(&minus.q)
+            .zip(p)
+            .zip(inv_mass)
+            .map(|(((a, b), p), im)| (a - b) * p * im)
+            .sum()
+    };
+    along(&plus.p) < 0.0 || along(&minus.p) < 0.0
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -6,6 +6,9 @@
 //!   `stan_ref::generated_quantities` oracle to 1e-12 — including `_rng`
 //!   draws, which all three paths must take identically from identical
 //!   seeds;
+//! * element-wise sweep arguments lifted to whole columns must be bitwise
+//!   what per-element evaluation gives, and the shapes the lift declines
+//!   (integer arithmetic, calls) must keep the per-element loop;
 //! * the lowering pass must batch the row shapes it claims to (pointwise
 //!   `lpdf` accumulation, element-wise `_rng` simulation) and decline the
 //!   rest, with the retained scalar loop reproducing declines exactly;
@@ -151,6 +154,151 @@ fn declining_shapes_keep_the_scalar_loop_and_its_behavior() {
         .generated_quantities(&[0.3], Rc::new(RefCell::new(StdRng::seed_from_u64(5))))
         .unwrap();
     assert_env_close(&resolved, &string, "declining shapes");
+}
+
+/// Compares two GQ result environments key by key, bitwise (NaN pairs
+/// agree whatever their payload).
+fn assert_env_bits_eq(a: &Env<f64>, b: &Env<f64>, what: &str) {
+    assert_eq!(
+        a.keys().collect::<std::collections::BTreeSet<_>>(),
+        b.keys().collect::<std::collections::BTreeSet<_>>(),
+        "{what}: output keys differ"
+    );
+    for (k, va) in a {
+        let fa = va.as_real_vec().unwrap();
+        let fb = b[k].as_real_vec().unwrap();
+        assert_eq!(fa.len(), fb.len(), "{what}/{k}: shapes differ");
+        for (x, y) in fa.iter().zip(&fb) {
+            assert!(
+                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                "{what}/{k}: {x} vs {y}"
+            );
+        }
+    }
+}
+
+/// The per-element twin of a source: every arithmetic argument of a
+/// generated-quantities call is wrapped in `(1 ? e : e)`. The row still
+/// lowers to a sweep with an element-wise argument, but the column lift
+/// declines ternaries, so the twin evaluates the argument element by
+/// element. Returns the twin and the number of arguments wrapped.
+fn per_element_twin(src: &str) -> (String, usize) {
+    let at = src.find("generated quantities").expect("a GQ block");
+    let mut out = src[..at].to_string();
+    let mut wrapped = 0;
+    for line in src[at..].split_inclusive('\n') {
+        let call = line
+            .find("= ")
+            .and_then(|eq| Some((eq + line[eq..].find('(')?, line.rfind(')')?)));
+        let Some((open, close)) = call else {
+            out.push_str(line);
+            continue;
+        };
+        out.push_str(&line[..=open]);
+        let mut rest = &line[open + 1..close];
+        loop {
+            let cut = rest.find([',', '|']).unwrap_or(rest.len());
+            let arg = rest[..cut].trim();
+            if arg.contains(['+', '*', '/']) {
+                out.push_str(&format!(" (1 ? {arg} : {arg})"));
+                wrapped += 1;
+            } else {
+                out.push_str(&rest[..cut]);
+            }
+            if cut == rest.len() {
+                break;
+            }
+            out.push_str(&rest[cut..=cut]);
+            rest = &rest[cut + 1..];
+        }
+        out.push_str(&line[close..]);
+    }
+    (out, wrapped)
+}
+
+/// Element-wise sweep arguments (`alpha + b1 * x1[i] + b2 * x2[i]`) are
+/// evaluated once over the whole window as columns. On every corpus GQ
+/// model the lifted rows, `_rng` draws included, must be bitwise what the
+/// per-element evaluation of the same sweep produces.
+#[test]
+fn lifted_sweep_arguments_match_the_per_element_path_bitwise() {
+    let mut lifted_models = 0usize;
+    for entry in model_zoo::corpus() {
+        if !entry.should_run() || !entry.source.contains("generated quantities") {
+            continue;
+        }
+        let (twin_src, wrapped) = per_element_twin(entry.source);
+        let program = DeepStan::compile_named(entry.name, entry.source).unwrap();
+        let twin = DeepStan::compile_named(entry.name, &twin_src).unwrap();
+        let sweeps = |p: &deepstan::CompiledProgram| {
+            count_gq_sweeps(&gprob::resolve_gq(&p.mixed).unwrap().stmts)
+        };
+        assert_eq!(
+            sweeps(&program),
+            sweeps(&twin),
+            "{}: the twin must lower the same rows",
+            entry.name
+        );
+        let data = entry.dataset(17);
+        let refs = data_env(&data);
+        let lifted = program.bind(&refs).unwrap();
+        let per_element = twin.bind(&refs).unwrap();
+        let dim = lifted.dim();
+        for (case, scale) in [(0u64, 0.2f64), (1, -0.4), (2, 0.9)] {
+            let theta_u: Vec<f64> = (0..dim)
+                .map(|i| scale * ((i as f64 * 0.7).sin() + 0.3))
+                .collect();
+            let a = lifted
+                .generated_quantities_resolved(&theta_u, 50 + case)
+                .unwrap();
+            let b = per_element
+                .generated_quantities_resolved(&theta_u, 50 + case)
+                .unwrap();
+            assert_env_bits_eq(&a, &b, entry.name);
+        }
+        if wrapped > 0 {
+            lifted_models += 1;
+        }
+    }
+    assert!(
+        lifted_models >= 3,
+        "only {lifted_models} models lift a column"
+    );
+}
+
+/// Integer ⊕ integer arithmetic (`n[i] / 2` is integer division) and calls
+/// keep the per-element loop; int ⊕ real promotes exactly as the
+/// per-element path does. All three rows lower and match the string path.
+#[test]
+fn column_lift_declines_integer_arithmetic_and_calls() {
+    let src = r#"
+        data { int N; real y[N]; int n[N]; real x[N]; }
+        parameters { real mu; }
+        model { mu ~ normal(0, 1); y ~ normal(mu, 1); }
+        generated quantities {
+          vector[N] a;
+          vector[N] b;
+          vector[N] c;
+          for (i in 1:N) a[i] = normal_lpdf(y[i] | mu + n[i] / 2, 1);
+          for (i in 1:N) b[i] = normal_lpdf(y[i] | mu + fabs(x[i]), 1);
+          for (i in 1:N) c[i] = normal_lpdf(y[i] | -(mu * x[i]) - n[i] / 2.0, 1);
+        }
+    "#;
+    let program = DeepStan::compile(src).unwrap();
+    let gq = gprob::resolve_gq(&program.mixed).unwrap();
+    assert_eq!(count_gq_sweeps(&gq.stmts), 3, "all three rows lower");
+    let data = vec![
+        ("N", Value::Int(4)),
+        ("y", Value::Vector(vec![0.1, -0.5, 0.8, 0.3])),
+        ("n", Value::IntArray(vec![3, -5, 4, 7])),
+        ("x", Value::Vector(vec![-0.7, 0.2, 1.3, -2.1])),
+    ];
+    let model = program.bind(&data).unwrap();
+    let resolved = model.generated_quantities_resolved(&[0.3], 5).unwrap();
+    let string = model
+        .generated_quantities(&[0.3], Rc::new(RefCell::new(StdRng::seed_from_u64(5))))
+        .unwrap();
+    assert_env_close(&resolved, &string, "lift declines");
 }
 
 #[test]

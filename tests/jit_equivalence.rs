@@ -12,6 +12,10 @@
 //!   the JIT decline states a reason;
 //! * repeated evaluation never reallocates the executable page (the code
 //!   pointer and length are pinned across evaluations);
+//! * the reverse pass's adjoint register cache stays bitwise at its edges
+//!   (more hot slots than registers, a slot on both operands, a cached
+//!   slot read as a seed, zero and NaN seeds, wide matrix-vector
+//!   products);
 //! * a proptest over random expression bodies confirms the native and
 //!   interpreted programs never diverge by a single bit.
 //!
@@ -289,15 +293,119 @@ fn repeated_evaluation_never_reallocates_the_code_page() {
     }
 }
 
+/// Routed (JIT-first) vs pinned interpreted gradients at the probe points,
+/// bitwise (NaN pairs agree whatever their payload).
+fn assert_routed_grad_matches(model: &GModel, label: &str) {
+    let dim = model.dim();
+    let mut ws_jit = model.grad_workspace();
+    let mut ws_int = model.grad_workspace();
+    let mut g_jit = vec![0.0; dim];
+    let mut g_int = vec![0.0; dim];
+    for theta in probe_points(dim) {
+        let a = model
+            .log_density_and_grad_with(&mut ws_jit, &theta, &mut g_jit)
+            .unwrap();
+        let b = model
+            .log_density_and_grad_dprog_with(&mut ws_int, &theta, &mut g_int)
+            .unwrap();
+        assert_bits_eq(a, b, &format_args!("{label} lp at {theta:?}"));
+        for (i, (x, y)) in g_jit.iter().zip(&g_int).enumerate() {
+            assert_bits_eq(*x, *y, &format_args!("{label} grad[{i}] at {theta:?}"));
+        }
+    }
+}
+
+/// The reverse pass keeps repeatedly bumped adjoints in registers
+/// (xmm8..xmm15, at most 8 per region). Each body below aims one region at
+/// an edge of that cache; every one must stay bitwise equal to the
+/// interpreter:
+///
+/// * a call-free loop bumping 10 broadcast scalars N times each (more hot
+///   slots than cache registers), next to a 10-column matrix-vector
+///   product;
+/// * one span as both operands of a multiply and of a dot product;
+/// * a loop-carried accumulator used twice per trip, so its cached slots
+///   are also read as the seeds of the previous trip;
+/// * zero and NaN seeds through the zero-guards: a data weight with zeros
+///   and a NaN skips or poisons elements, and `sqrt` of a sign-changing
+///   product yields NaN partials.
+#[test]
+fn adjoint_register_cache_regions_match_the_interpreter_bitwise() {
+    let n = 11usize;
+    let k = 10usize;
+    let mut data: Env<f64> = Env::new();
+    data.insert("N".into(), Value::Int(n as i64));
+    data.insert("K".into(), Value::Int(k as i64));
+    data.insert(
+        "x".into(),
+        Value::Vector((0..n).map(|i| 0.3 * i as f64 - 0.7).collect()),
+    );
+    data.insert(
+        "y".into(),
+        Value::Vector((0..n).map(|i| 0.41 * i as f64 - 1.1).collect()),
+    );
+    let mut w: Vec<f64> = (0..n).map(|i| 0.5 * i as f64 - 1.0).collect();
+    w[0] = 0.0;
+    w[3] = -0.0;
+    w[7] = 0.0;
+    let mut z = w.clone();
+    z[5] = f64::NAN;
+    data.insert("w".into(), Value::Vector(w));
+    data.insert("z".into(), Value::Vector(z));
+    data.insert(
+        "X".into(),
+        Value::Array(
+            (0..n)
+                .map(|r| Value::Vector((0..k).map(|c| 0.07 * (r * k + c) as f64 - 3.0).collect()))
+                .collect(),
+        ),
+    );
+    let bodies = [
+        (
+            "overflow",
+            "parameters { real b1; real b2; real b3; real b4; real b5; real b6; real b7; real b8; real b9; real b10; vector[K] beta; real<lower=0> sigma; }",
+            "{ real acc; acc = 0; for (i in 1:N) acc = acc + b1 * x[i] + b2 * x[i] + b3 * x[i] + b4 * x[i] + b5 * x[i] + b6 * x[i] + b7 * x[i] + b8 * x[i] + b9 * x[i] + b10 * x[i]; target += -0.01 * acc * acc; }
+             y ~ normal(X * beta, sigma);",
+        ),
+        (
+            "same slot, both operands",
+            "parameters { vector[N] v; real mu; }",
+            "target += -0.5 * sum(v .* v); target += -0.25 * dot_self(v); target += -dot_self(mu * to_vector(x) + mu);",
+        ),
+        (
+            "cached seed",
+            "parameters { real mu; real<lower=0> sigma; }",
+            "{ real acc; acc = 0; for (i in 1:N) acc = acc * x[i] + acc * mu + sigma; target += -acc * acc; }",
+        ),
+        (
+            "zero and NaN seeds",
+            "parameters { real mu; real tau; real<lower=0> sigma; }",
+            "target += sum(w .* exp(tau * to_vector(x) + sigma)); target += sum(z .* exp(mu * to_vector(x))); target += sum(sqrt(mu * to_vector(x)));",
+        ),
+    ];
+    for (label, params, body) in bodies {
+        let src = format!(
+            "data {{ int N; int K; real x[N]; real y[N]; vector[N] w; vector[N] z; matrix[N, K] X; }}
+             {params}
+             model {{ {body} }}"
+        );
+        let model =
+            bind(&src, Scheme::Mixed, &data).unwrap_or_else(|| panic!("{label}: failed to bind"));
+        assert!(model.dprog().is_some(), "{label}: no density program");
+        assert_eq!(model.jit().is_some(), jit_expected(), "{label}: jit");
+        assert_routed_grad_matches(&model, label);
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(40))]
     /// Random expression bodies: the routed (JIT-first) and pinned
     /// interpreted gradient paths agree bit for bit, whatever the emitter
     /// decided about the body.
     #[test]
     fn prop_random_bodies_jit_matches_interpreter_bitwise(
-        n in 2i64..9,
-        shape in 0i64..6,
+        n in 2i64..12,
+        shape in 0i64..10,
         u1 in -2.0f64..2.0,
         u2 in -2.0f64..2.0,
     ) {
@@ -307,6 +415,14 @@ proptest! {
             2 => "target += normal_lpdf(y[1] | mu, sigma + 0.5)",
             3 => "y ~ normal(log(fabs(mu) + 1) * to_vector(x), sigma + 0.1)",
             4 => "{ real acc; acc = 0; for (i in 1:N) { acc = acc + mu * x[i]; y[i] ~ normal(acc, sigma + 1); } }",
+            // Adjoint-cache regions: a call-free loop whose accumulator is
+            // both bumped and seed-read, zero seeds (floor(x) hits 0), NaN
+            // seeds (sqrt of a sign-changing product), one span as both
+            // dot operands.
+            6 => "{ real acc; acc = 0; for (i in 1:N) acc = acc * x[i] + acc * mu + sigma; target += -acc * acc; }",
+            7 => "target += sum(floor(to_vector(x)) .* exp(mu * to_vector(x) + sigma))",
+            8 => "target += sum(sqrt(mu * to_vector(x) + sigma))",
+            9 => "target += -dot_self(mu * to_vector(x) + sigma)",
             _ => "target += log_mix(inv_logit(mu), normal_lpdf(y[1] | 0, 1), normal_lpdf(y[1] | sigma, 1))",
         };
         let src = format!(

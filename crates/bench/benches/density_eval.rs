@@ -36,7 +36,8 @@
 //! `gprob_grad_dprog` row is the lane-scaling ratio the PR 6 acceptance
 //! gates on. The `advi_step_{batched,sequential}` rows run the same short
 //! ADVI fit through `advi_fit_batch` (all K Monte-Carlo guide draws per step
-//! in one multi-lane pass) vs the per-draw `advi_fit_mut` loop.
+//! in one multi-lane pass) vs the same entry over a target that keeps the
+//! trait's per-draw `logp_grad_batch` loop.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -235,12 +236,16 @@ fn bench_density(c: &mut Criterion) {
             })
         });
         group.bench_function(format!("{name}/advi_step_sequential"), |b| {
-            let mut target = DProgTarget {
+            let mut target = PerPoint(DProgTarget {
                 model: &gmodel,
                 ws: gmodel.grad_workspace(),
-            };
+            });
             b.iter(|| {
-                inference::advi_fit_mut(&mut target, gmodel.dim(), std::hint::black_box(&advi_cfg))
+                inference::advi_fit_batch(
+                    &mut target,
+                    gmodel.dim(),
+                    std::hint::black_box(&advi_cfg),
+                )
             })
         });
     }
@@ -325,6 +330,19 @@ impl inference::GradTargetBatch for DProgTarget<'_> {
         }
     }
 }
+
+/// Forwards the single-point entry and keeps the trait's default
+/// `logp_grad_batch`, which scores a batch one point at a time: the
+/// `advi_step_sequential` row's target.
+struct PerPoint<T>(T);
+
+impl<T: inference::GradTargetMut> inference::GradTargetMut for PerPoint<T> {
+    fn logp_grad_into(&mut self, q: &[f64], grad: &mut [f64]) -> f64 {
+        self.0.logp_grad_into(q, grad)
+    }
+}
+
+impl<T: inference::GradTargetMut> inference::GradTargetBatch for PerPoint<T> {}
 
 /// Generated-quantities throughput, per posterior draw: the slot-resolved
 /// streaming path (`gq_resolved`, pooled `GqWorkspace`, sweep-lowered rows)

@@ -1,5 +1,6 @@
 //! Table 4 (appendix) — mean relative error of every backend against the
-//! reference posterior, for every corpus model.
+//! reference posterior, for every corpus model. Every run fits the model's
+//! one `DATA_SEED` data set; runs differ only in their chain seeds.
 
 use deepstan_bench::{accuracy_vs_reference, run_backend, BackendKind};
 
@@ -22,8 +23,8 @@ fn main() {
             println!("{:<28} reference failed", entry.name);
             continue;
         };
-        // Self-error of a second reference run with a different seed, the
-        // analogue of the paper's "Stan" error column.
+        // Self-error of a second reference run with a different chain seed
+        // on the same data, the analogue of the paper's "Stan" error column.
         let second = run_backend(entry, BackendKind::StanRef, 43);
         let self_err = second
             .posterior

@@ -1081,8 +1081,7 @@ where
 /// parallel threads beyond the first. Each restart fits through
 /// [`advi_fit_batch`], so every optimization step's Monte-Carlo guide draws
 /// score in one batched call — one lane-widened sweep per step on compiled
-/// models, a plain per-draw loop (bitwise identical to `advi_fit_mut`)
-/// otherwise.
+/// models, the trait's per-draw loop otherwise.
 fn run_advi_chains<T, F>(
     chains: usize,
     base_seed: u64,

@@ -12,11 +12,11 @@
 //! `f64` pass over the op array into a pooled register file and one analytic
 //! reverse sweep over the same array (each opcode derives its local partials
 //! from the forward registers; score sites reuse the analytic reverse
-//! rules of [`probdist::lpdf_elem_partials_only`]).
+//! rules of [`probdist::lpdf_elem_partials_only_lanes`]).
 //!
 //! # Register model
 //!
-//! The register file is a flat `Vec<f64>` in a [`DProgWorkspace`]:
+//! The register file is a flat `f64` pool in a [`DProgWorkspace`]:
 //!
 //! * registers `0..n_inputs` hold the unconstrained parameter vector,
 //!   rewritten on every evaluation;
@@ -39,10 +39,11 @@
 //!
 //! # Lane model
 //!
-//! [`DProg::value_and_grad_lanes`] scores L *independent* unconstrained
-//! points with **one** forward and **one** reverse sweep over the op array:
-//! op decode, dispatch, and table addressing are paid once per op instead of
-//! once per op per point. The same program runs against a struct-of-arrays
+//! There is one op walk (`forward_lanes` / `reverse_lanes`), generic over a
+//! compile-time lane count L: it scores L *independent* unconstrained points
+//! with **one** forward and **one** reverse sweep over the op array, so op
+//! decode, dispatch, and table addressing are paid once per op instead of
+//! once per op per point. The program runs against a struct-of-arrays
 //! register file where each register becomes a row of L lanes, stored
 //! contiguously in a 64-byte-aligned pool:
 //!
@@ -54,24 +55,26 @@
 //! reg r      [  r·L   | r·L+1  | ... | r·L+L-1 ]   <- pool offset of reg r
 //! ```
 //!
-//! Every inner loop walks lanes `0..L` with a compile-time lane count
-//! (`L ∈ {2, 4, 8}`, monomorphized), so the plain-indexed f64 loops
-//! auto-vectorize on stable Rust — no nightly SIMD features, no intrinsics.
-//! Batched score sites go through the lane-widened elem kernels
-//! ([`probdist::lpdf_elem_value_lanes`] /
-//! [`probdist::lpdf_elem_partials_only_lanes`]). The single-point
-//! interpreter (and the JIT, through its sweep shims) scores every batched
-//! site with the `L = 1` instance of these same sweep kernels, so one
-//! kernel — with its per-sweep hoists — serves single points and lanes.
+//! Every inner loop walks lanes `0..L` (`L ∈ {1, 2, 4, 8}`, monomorphized),
+//! so the plain-indexed f64 loops auto-vectorize on stable Rust — no nightly
+//! SIMD features, no intrinsics. A single point is a batch of one:
+//! [`DProg::value`] / [`DProg::value_and_grad`] run the `L = 1` walk over
+//! the workspace's own register file, whose one-lane layout puts register
+//! `r` at offset `r`. [`DProg::value_and_grad_lanes`] runs the L-wide walks
+//! over lane files. Score sites go through the lane-widened elem and sweep
+//! kernels ([`probdist::lpdf_elem_value_lanes`] /
+//! [`probdist::lpdf_elem_partials_only_lanes`]); the JIT's sweep shims call
+//! the same sweep kernels at `L = 1`, so one kernel — with its per-sweep
+//! hoists — serves single points, lanes and native code.
 //!
-//! Lane evaluation is **not** a numerical variant: lane `l` executes exactly
-//! the op sequence, accumulation order, and reverse-sweep zero-guards of a
-//! single-point [`DProg::value_and_grad`] call on that point, so each lane's
-//! value and gradient are bitwise the single-lane results. A batch of n
+//! Lane evaluation is **not** a numerical variant: every formula,
+//! accumulation order, and reverse-sweep zero-guard depends on its own lane
+//! only, so lane `l` of a batch computes bitwise what a single-point
+//! [`DProg::value_and_grad`] call computes on that point. A batch of n
 //! points is chunked greedily into lanes of 8, then 4, then 2; a ragged
-//! remainder point falls back to the single-lane entry itself. Decline rules
-//! are unchanged — lanes are a property of *evaluation*, not compilation,
-//! and declined models keep the `Var`/tape path byte-identical.
+//! remainder point runs through the single-point entry. Decline rules are
+//! unchanged — lanes are a property of *evaluation*, not compilation, and
+//! declined models keep the `Var`/tape path byte-identical.
 //!
 //! # Opcode table
 //!
@@ -81,8 +84,8 @@
 //! | `VBin`/`VUn` | element-wise span arithmetic with scalar broadcast | per-element partials |
 //! | `Dot`/`Sum`/`MatVec`/`MaxVal` | reductions over spans (`MaxVal` is the untracked `log_sum_exp` stabilizer) | `Dot`: cross partials; `Sum`: broadcast; `MatVec`: transposed matrix; `MaxVal`: zero |
 //! | `Constrain` | [`probdist::Constraint`] transform + log-Jacobian into the jacobian accumulator | analytic `∂x/∂u` and `∂log|J|/∂u` |
-//! | `ScoreElem`/`ScoreVal` | one scalar log-density via [`probdist::lpdf_elem_value`] | [`probdist::lpdf_elem_partials_only`] (partials, no value) |
-//! | `ScoreSweep`/`ScoreSweepVal` | one batched site through the lane kernel at `L = 1` (`sweep_sum_lanes`: per-sweep `ln σ` / `ln p` hoists) | the lane reverse at `L = 1` (`sweep_reverse_lanes`: partials only) |
+//! | `ScoreElem`/`ScoreVal` | one log-density per lane via [`probdist::lpdf_elem_value_lanes`] | [`probdist::lpdf_elem_partials_only_lanes`] (partials, no value) |
+//! | `ScoreSweep`/`ScoreSweepVal` | one batched site through the sweep kernel (`sweep_sum_lanes`: per-sweep `ln σ` / `ln p` hoists) | `sweep_reverse_lanes` (partials only) |
 //! | `AddScore`/`AddScoreSpan` | `factor` contributions | pass-through |
 //! | `Loop` | body `trip` times with `iter = 0..trip` | body reversed with `iter = trip-1..0` |
 //!
@@ -116,9 +119,9 @@ use std::collections::HashMap;
 
 use minidiff::rules::UnFn;
 use probdist::sweep::{
-    bernoulli_lpmf_from_logs, binomial_lpmf_from_logs, lpdf_elem_partials_only,
-    lpdf_elem_partials_only_lanes, lpdf_elem_value, lpdf_elem_value_lanes, normal_lpdf_const,
-    normal_lpdf_from_const, normal_partials_only, supports_elem, supports_sweep, sweep_arity,
+    bernoulli_lpmf_from_logs, binomial_lpmf_from_logs, lpdf_elem_partials_only_lanes,
+    lpdf_elem_value_lanes, normal_lpdf_const, normal_lpdf_from_const, normal_partials_only,
+    supports_elem, supports_sweep, sweep_arity,
 };
 use probdist::{Constraint, DistKind};
 use stan_frontend::ast::{BinOp, FunDecl, UnOp};
@@ -764,32 +767,6 @@ impl DProg {
         count(&self.ops)
     }
 
-    /// A rough *dynamic* cost estimate of one evaluation: scalar ops count
-    /// 1, span/sweep ops count their element length (score kernels weighted
-    /// heavier for their transcendentals), loop bodies multiply by the trip
-    /// count. Schedulers use this to decide whether lane-batched evaluation
-    /// amortizes its per-round dispatch overhead — tiny programs (the
-    /// `coin`-class toys) run faster sequentially.
-    pub fn cost_estimate(&self) -> usize {
-        fn op_cost(op: &Op) -> usize {
-            match op {
-                Op::Bin { .. } | Op::Un { .. } | Op::Mov { .. } | Op::AddScore { .. } => 1,
-                Op::ScoreElem { .. } | Op::ScoreVal { .. } => 4,
-                Op::VBin { len, .. }
-                | Op::VUn { len, .. }
-                | Op::Dot { len, .. }
-                | Op::Sum { len, .. }
-                | Op::MaxVal { len, .. }
-                | Op::AddScoreSpan { len, .. }
-                | Op::Constrain { len, .. } => *len as usize,
-                Op::MatVec { rows, cols, .. } => (*rows as usize) * (*cols as usize),
-                Op::ScoreSweep { len, .. } | Op::ScoreSweepVal { len, .. } => 4 * *len as usize,
-                Op::Loop { trip, body } => *trip as usize * body.iter().map(op_cost).sum::<usize>(),
-            }
-        }
-        self.ops.iter().map(op_cost).sum()
-    }
-
     /// Builds a pooled workspace: the register file with the constant
     /// region pre-written.
     pub fn workspace(&self) -> DProgWorkspace {
@@ -843,9 +820,7 @@ impl DProg {
     pub fn value(&self, theta_u: &[f64], ws: &mut DProgWorkspace) -> Result<f64, RuntimeError> {
         self.check_len(theta_u)?;
         ws.regs[..self.n_inputs].copy_from_slice(theta_u);
-        let mut acc = Accum::default();
-        self.forward(&self.ops, &mut ws.regs, &mut acc);
-        Ok(acc.score + acc.jac)
+        Ok(self.forward_sum::<1>(&mut ws.regs)[0])
     }
 
     /// Log-density and its gradient: one forward pass, one analytic reverse
@@ -866,12 +841,11 @@ impl DProg {
         self.check_len(theta_u)?;
         assert!(grad_out.len() >= self.n_inputs, "gradient buffer too short");
         ws.regs[..self.n_inputs].copy_from_slice(theta_u);
-        let mut acc = Accum::default();
-        self.forward(&self.ops, &mut ws.regs, &mut acc);
+        let value = self.forward_sum::<1>(&mut ws.regs)[0];
         ws.adj.fill(0.0);
-        self.reverse(&self.ops, &ws.regs, &mut ws.adj);
+        self.reverse_lanes::<1>(&self.ops, &ws.regs, &mut ws.adj, 0);
         grad_out[..self.n_inputs].copy_from_slice(&ws.adj[..self.n_inputs]);
-        Ok(acc.score + acc.jac)
+        Ok(value)
     }
 
     /// Log-densities and gradients of a batch of independent unconstrained
@@ -951,375 +925,34 @@ impl DProg {
                 lf.regs[i * L + l] = thetas[l * d + i];
             }
         }
-        let mut score = [0.0; L];
-        let mut jac = [0.0; L];
-        self.forward_lanes::<L>(&self.ops, &mut lf.regs, &mut score, &mut jac, 0);
+        values.copy_from_slice(&self.forward_sum::<L>(&mut lf.regs));
         lf.adj.fill(0.0);
         self.reverse_lanes::<L>(&self.ops, &lf.regs, &mut lf.adj, 0);
         for l in 0..L {
-            values[l] = score[l] + jac[l];
             for i in 0..d {
                 grads[l * d + i] = lf.adj[i * L + l];
             }
         }
     }
 
-    #[inline]
-    fn ra(&self, a: A, regs: &[f64], iter: u32) -> f64 {
-        match a {
-            A::Reg(r) => regs[r.at(iter)],
-            A::Const(c) => c,
-            A::Table(t) => self.tables_f[t as usize][iter as usize],
-        }
-    }
-
-    #[inline]
-    fn va(&self, a: VA, regs: &[f64], i: usize) -> f64 {
-        match a {
-            VA::Span(s) => regs[s as usize + i],
-            VA::Table(t) => self.tables_f[t as usize][i],
-            VA::RegS(r) => regs[r.at(0)],
-            VA::ConstS(c) => c,
-        }
-    }
-
-    fn forward(&self, ops: &[Op], regs: &mut [f64], acc: &mut Accum) {
-        self.forward_iter(ops, regs, acc, 0);
-    }
-
-    fn forward_iter(&self, ops: &[Op], regs: &mut [f64], acc: &mut Accum, iter: u32) {
-        for op in ops {
-            match op {
-                Op::Bin { f, dst, a, b } => {
-                    let va = self.ra(*a, regs, iter);
-                    let vb = self.ra(*b, regs, iter);
-                    regs[dst.at(iter)] = f.value(va, vb);
-                }
-                Op::Un { f, dst, a } => {
-                    let va = self.ra(*a, regs, iter);
-                    regs[dst.at(iter)] = f.value(va);
-                }
-                Op::Mov { dst, a } => {
-                    regs[dst.at(iter)] = self.ra(*a, regs, iter);
-                }
-                Op::VBin { f, dst, a, b, len } => {
-                    for i in 0..*len as usize {
-                        let va = self.va(*a, regs, i);
-                        let vb = self.va(*b, regs, i);
-                        regs[*dst as usize + i] = f.value(va, vb);
-                    }
-                }
-                Op::VUn { f, dst, a, len } => {
-                    for i in 0..*len as usize {
-                        let va = self.va(*a, regs, i);
-                        regs[*dst as usize + i] = f.value(va);
-                    }
-                }
-                Op::Dot { dst, a, b, len } => {
-                    let mut s = 0.0;
-                    for i in 0..*len as usize {
-                        s += self.va(*a, regs, i) * self.va(*b, regs, i);
-                    }
-                    regs[*dst as usize] = s;
-                }
-                Op::Sum { dst, a, len } => {
-                    let mut s = 0.0;
-                    for i in 0..*len as usize {
-                        s += self.va(*a, regs, i);
-                    }
-                    regs[*dst as usize] = s;
-                }
-                Op::MatVec {
-                    dst,
-                    mat,
-                    x,
-                    rows,
-                    cols,
-                } => {
-                    let m = &self.tables_f[*mat as usize];
-                    for r in 0..*rows as usize {
-                        let mut s = 0.0;
-                        for c in 0..*cols as usize {
-                            s += m[r * *cols as usize + c] * self.va(*x, regs, c);
-                        }
-                        regs[*dst as usize + r] = s;
-                    }
-                }
-                Op::MaxVal { dst, a, len } => {
-                    let mut m = f64::NEG_INFINITY;
-                    for i in 0..*len as usize {
-                        m = m.max(self.va(*a, regs, i));
-                    }
-                    regs[*dst as usize] = m;
-                }
-                Op::Constrain {
-                    kind,
-                    src,
-                    dst,
-                    len,
-                } => {
-                    for c in 0..*len as usize {
-                        let u = regs[*src as usize + c];
-                        regs[*dst as usize + c] = kind.to_constrained(u);
-                        acc.jac += kind.log_jacobian(u);
-                    }
-                }
-                Op::ScoreElem { kind, x, args, k } => {
-                    let mut abuf = [0f64; 3];
-                    for j in 0..*k as usize {
-                        abuf[j] = self.ra(args[j], regs, iter);
-                    }
-                    let xv = self.ra(*x, regs, iter);
-                    acc.score += lpdf_elem_value(*kind, xv, &abuf).unwrap_or(f64::NAN);
-                }
-                Op::ScoreVal {
-                    kind,
-                    dst,
-                    x,
-                    args,
-                    k,
-                } => {
-                    let mut abuf = [0f64; 3];
-                    for j in 0..*k as usize {
-                        abuf[j] = self.ra(args[j], regs, iter);
-                    }
-                    let xv = self.ra(*x, regs, iter);
-                    regs[dst.at(iter)] = lpdf_elem_value(*kind, xv, &abuf).unwrap_or(f64::NAN);
-                }
-                Op::ScoreSweep {
-                    kind,
-                    xs,
-                    args,
-                    k,
-                    len,
-                } => {
-                    acc.score += self.sweep_sum_lanes::<1>(*kind, *xs, args, *k, *len, regs)[0];
-                }
-                Op::ScoreSweepVal {
-                    kind,
-                    dst,
-                    xs,
-                    args,
-                    k,
-                    len,
-                } => {
-                    regs[*dst as usize] =
-                        self.sweep_sum_lanes::<1>(*kind, *xs, args, *k, *len, regs)[0];
-                }
-                Op::AddScore { a } => {
-                    acc.score += self.ra(*a, regs, iter);
-                }
-                Op::AddScoreSpan { a, len } => {
-                    for i in 0..*len as usize {
-                        acc.score += self.va(*a, regs, i);
-                    }
-                }
-                Op::Loop { trip, body } => {
-                    for it in 0..*trip {
-                        self.forward_iter(body, regs, acc, it);
-                    }
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn bump(&self, a: A, adj: &mut [f64], iter: u32, v: f64) {
-        if let A::Reg(r) = a {
-            adj[r.at(iter)] += v;
-        }
-    }
-
-    #[inline]
-    fn vbump(&self, a: VA, adj: &mut [f64], i: usize, v: f64) {
-        match a {
-            VA::Span(s) => adj[s as usize + i] += v,
-            VA::RegS(r) => adj[r.at(0)] += v,
-            VA::Table(_) | VA::ConstS(_) => {}
-        }
-    }
-
-    fn reverse(&self, ops: &[Op], regs: &[f64], adj: &mut [f64]) {
-        self.reverse_iter(ops, regs, adj, 0);
-    }
-
-    fn reverse_iter(&self, ops: &[Op], regs: &[f64], adj: &mut [f64], iter: u32) {
-        for op in ops.iter().rev() {
-            match op {
-                Op::Bin { f, dst, a, b } => {
-                    let g = adj[dst.at(iter)];
-                    if g != 0.0 {
-                        let va = self.ra(*a, regs, iter);
-                        let vb = self.ra(*b, regs, iter);
-                        let (da, db) = f.partials(va, vb);
-                        self.bump(*a, adj, iter, da * g);
-                        self.bump(*b, adj, iter, db * g);
-                    }
-                }
-                Op::Un { f, dst, a } => {
-                    let g = adj[dst.at(iter)];
-                    if g != 0.0 {
-                        let va = self.ra(*a, regs, iter);
-                        let fx = regs[dst.at(iter)];
-                        self.bump(*a, adj, iter, f.partial(va, fx) * g);
-                    }
-                }
-                Op::Mov { dst, a } => {
-                    let g = adj[dst.at(iter)];
-                    if g != 0.0 {
-                        self.bump(*a, adj, iter, g);
-                    }
-                }
-                Op::VBin { f, dst, a, b, len } => {
-                    for i in 0..*len as usize {
-                        let g = adj[*dst as usize + i];
-                        if g != 0.0 {
-                            let va = self.va(*a, regs, i);
-                            let vb = self.va(*b, regs, i);
-                            let (da, db) = f.partials(va, vb);
-                            self.vbump(*a, adj, i, da * g);
-                            self.vbump(*b, adj, i, db * g);
-                        }
-                    }
-                }
-                Op::VUn { f, dst, a, len } => {
-                    for i in 0..*len as usize {
-                        let g = adj[*dst as usize + i];
-                        if g != 0.0 {
-                            let va = self.va(*a, regs, i);
-                            let fx = regs[*dst as usize + i];
-                            self.vbump(*a, adj, i, f.partial(va, fx) * g);
-                        }
-                    }
-                }
-                Op::Dot { dst, a, b, len } => {
-                    let g = adj[*dst as usize];
-                    if g != 0.0 {
-                        for i in 0..*len as usize {
-                            let va = self.va(*a, regs, i);
-                            let vb = self.va(*b, regs, i);
-                            self.vbump(*a, adj, i, vb * g);
-                            self.vbump(*b, adj, i, va * g);
-                        }
-                    }
-                }
-                Op::Sum { dst, a, len } => {
-                    let g = adj[*dst as usize];
-                    if g != 0.0 {
-                        for i in 0..*len as usize {
-                            self.vbump(*a, adj, i, g);
-                        }
-                    }
-                }
-                Op::MatVec {
-                    dst,
-                    mat,
-                    x,
-                    rows,
-                    cols,
-                } => {
-                    let m = &self.tables_f[*mat as usize];
-                    for r in 0..*rows as usize {
-                        let g = adj[*dst as usize + r];
-                        if g != 0.0 {
-                            for c in 0..*cols as usize {
-                                self.vbump(*x, adj, c, m[r * *cols as usize + c] * g);
-                            }
-                        }
-                    }
-                }
-                Op::MaxVal { .. } => {}
-                Op::Constrain {
-                    kind,
-                    src,
-                    dst,
-                    len,
-                } => {
-                    for c in 0..*len as usize {
-                        let u = regs[*src as usize + c];
-                        let g = adj[*dst as usize + c];
-                        let (dxdu, djdu) = constraint_partials(*kind, u);
-                        adj[*src as usize + c] += g * dxdu + djdu;
-                    }
-                }
-                Op::ScoreElem { kind, x, args, k } => {
-                    let mut abuf = [0f64; 3];
-                    for j in 0..*k as usize {
-                        abuf[j] = self.ra(args[j], regs, iter);
-                    }
-                    let xv = self.ra(*x, regs, iter);
-                    if let Some((dx, dp)) = lpdf_elem_partials_only(*kind, xv, &abuf) {
-                        self.bump(*x, adj, iter, dx);
-                        for j in 0..*k as usize {
-                            self.bump(args[j], adj, iter, dp[j]);
-                        }
-                    }
-                }
-                Op::ScoreVal {
-                    kind,
-                    dst,
-                    x,
-                    args,
-                    k,
-                } => {
-                    let g = adj[dst.at(iter)];
-                    if g != 0.0 {
-                        let mut abuf = [0f64; 3];
-                        for j in 0..*k as usize {
-                            abuf[j] = self.ra(args[j], regs, iter);
-                        }
-                        let xv = self.ra(*x, regs, iter);
-                        if let Some((dx, dp)) = lpdf_elem_partials_only(*kind, xv, &abuf) {
-                            self.bump(*x, adj, iter, dx * g);
-                            for j in 0..*k as usize {
-                                self.bump(args[j], adj, iter, dp[j] * g);
-                            }
-                        }
-                    }
-                }
-                Op::ScoreSweep {
-                    kind,
-                    xs,
-                    args,
-                    k,
-                    len,
-                } => {
-                    self.sweep_reverse_lanes::<1>(*kind, *xs, args, *k, *len, &[1.0], regs, adj);
-                }
-                Op::ScoreSweepVal {
-                    kind,
-                    dst,
-                    xs,
-                    args,
-                    k,
-                    len,
-                } => {
-                    let g = adj[*dst as usize];
-                    self.sweep_reverse_lanes::<1>(*kind, *xs, args, *k, *len, &[g], regs, adj);
-                }
-                Op::AddScore { a } => {
-                    self.bump(*a, adj, iter, 1.0);
-                }
-                Op::AddScoreSpan { a, len } => {
-                    for i in 0..*len as usize {
-                        self.vbump(*a, adj, i, 1.0);
-                    }
-                }
-                Op::Loop { trip, body } => {
-                    for it in (0..*trip).rev() {
-                        self.reverse_iter(body, regs, adj, it);
-                    }
-                }
-            }
-        }
-    }
-
-    // -- Lane-widened evaluation ------------------------------------------
+    // -- The op walk --------------------------------------------------------
     //
-    // Each method below is the SoA mirror of its single-lane counterpart:
-    // identical op walk, identical per-lane formulas and accumulation order,
-    // identical reverse zero-guards (applied per lane), so lane l computes
-    // bitwise what a single-point evaluation of lane l's point would.
+    // One walk serves every lane count. A single point is the `L = 1`
+    // instance over the workspace's own register file, whose one-lane layout
+    // is exactly register `r` at offset `r`. Every per-lane formula,
+    // accumulation order and reverse zero-guard depends on its lane alone,
+    // so lane l of an L-wide walk computes bitwise what the `L = 1` walk
+    // computes on lane l's point.
+
+    /// One forward sweep over a register file: per-lane `score + jac`. The
+    /// two accumulators stay separate so the sum reproduces the tape path's
+    /// `result.score + log_jac` summation exactly.
+    fn forward_sum<const L: usize>(&self, regs: &mut [f64]) -> [f64; L] {
+        let mut score = [0.0; L];
+        let mut jac = [0.0; L];
+        self.forward_lanes::<L>(&self.ops, regs, &mut score, &mut jac, 0);
+        std::array::from_fn(|l| score[l] + jac[l])
+    }
 
     /// Loads a scalar operand's lane row (constants broadcast).
     #[inline]
@@ -1757,7 +1390,9 @@ impl DProg {
         }
     }
 
-    /// Lane mirror of `forward_iter`.
+    /// The forward walk: each op's values into fresh registers, score and
+    /// log-Jacobian terms into the per-lane accumulators; `iter` addresses a
+    /// loop body's per-iteration registers and tables.
     fn forward_lanes<const L: usize>(
         &self,
         ops: &[Op],
@@ -1944,10 +1579,11 @@ impl DProg {
         }
     }
 
-    /// Lane mirror of `reverse_iter`. The single-lane `g != 0.0` guards are
-    /// semantic (they keep `0 · ∞` from minting NaNs), so they apply **per
-    /// lane**: a zero-adjoint lane contributes exactly 0.0, never a masked
-    /// garbage product.
+    /// The reverse walk: ops in reverse order, each deriving its local
+    /// partials from the forward registers and bumping operand adjoints. The
+    /// `g != 0.0` guards are semantic (they keep `0 · ∞` from minting NaNs),
+    /// so they apply **per lane**: a zero-adjoint lane contributes exactly
+    /// 0.0, never a masked garbage product.
     fn reverse_lanes<const L: usize>(&self, ops: &[Op], regs: &[f64], adj: &mut [f64], iter: u32) {
         for op in ops.iter().rev() {
             match op {
@@ -2182,14 +1818,6 @@ impl DProg {
             }
         }
     }
-}
-
-/// Score accumulators, kept separate so `score + jac` reproduces the
-/// interpreted path's `result.score + log_jac` summation exactly.
-#[derive(Default)]
-struct Accum {
-    score: f64,
-    jac: f64,
 }
 
 /// `(∂x/∂u, ∂log|J|/∂u)` of a constraint transform — the analytic partials

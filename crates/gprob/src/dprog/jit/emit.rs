@@ -560,7 +560,7 @@ impl<'a> E<'a> {
         self.spill(0, OFF_JAC);
     }
 
-    /// Returns `score + jac` (the interpreter's `acc.score + acc.jac`).
+    /// Returns `score + jac` (the interpreter's `forward_sum`).
     fn epilogue(&mut self) {
         self.reload(0, OFF_SCORE);
         self.a.sse_mem(0xF2, 0x58, 0, Base::Rsp, OFF_JAC); // addsd xmm0, [jac]
@@ -973,7 +973,7 @@ impl<'a> E<'a> {
         Ok(())
     }
 
-    /// One op's reverse arm, exactly as the interpreter's `reverse_iter`.
+    /// One op's reverse arm, exactly as the interpreter's `reverse_lanes`.
     fn reverse_op(&mut self, op: &Op, iter: u32) -> Result<(), Decline> {
         match op {
             Op::Bin { f, dst, a, b } => {

@@ -19,7 +19,7 @@ use probdist::dist::{dist_from_kind, dist_from_name, DistArg, DistKind};
 use rand::rngs::StdRng;
 use stan_frontend::ast::*;
 
-use crate::value::{Env, EnvView, RuntimeError, Value};
+use crate::value::{count_while_iteration, Env, EnvView, RuntimeError, Value};
 
 /// Hook for evaluating calls the evaluator does not know about — used by the
 /// DeepStan extension to plug neural-network forward passes into models.
@@ -1374,12 +1374,7 @@ pub fn exec_stmt<T: Real>(
                 if c.value() == 0.0 {
                     break;
                 }
-                iterations += 1;
-                if iterations > 10_000_000 {
-                    return Err(RuntimeError::new(
-                        "while loop exceeded the iteration budget",
-                    ));
-                }
+                count_while_iteration(&mut iterations)?;
                 match exec_stmt(body, env, ctx, handler)? {
                     Flow::Break => break,
                     Flow::Return(v) => return Ok(Flow::Return(v)),

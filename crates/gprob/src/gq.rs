@@ -61,7 +61,7 @@ use crate::resolved::{
     ResolvedProgram, Resolver, SweepArgSpec,
 };
 use crate::reval::{default_rvalue, reval_expr, reval_ref, slice_window, RCtx, RefValue};
-use crate::value::{Env, RuntimeError, Value};
+use crate::value::{count_while_iteration, Env, RuntimeError, Value};
 
 /// A slot-resolved statement of the `generated quantities` block. Mirrors
 /// [`stan_frontend::ast::Stmt`] with names replaced by frame slots, plus the
@@ -919,12 +919,7 @@ impl GqEval<'_, '_> {
                     if c == 0.0 {
                         break;
                     }
-                    iterations += 1;
-                    if iterations > 10_000_000 {
-                        return Err(RuntimeError::new(
-                            "while loop exceeded the iteration budget",
-                        ));
-                    }
+                    count_while_iteration(&mut iterations)?;
                     match self.exec(body, frame)? {
                         GqFlow::Break => break,
                         GqFlow::Return => return Ok(GqFlow::Return),

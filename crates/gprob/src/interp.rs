@@ -27,7 +27,7 @@ use rand::Rng;
 
 use crate::eval::{eval_expr, tilde_lpdf, write_indexed, EvalCtx};
 use crate::ir::{DistCall, GExpr, LoopKind};
-use crate::value::{Env, RuntimeError, Value};
+use crate::value::{count_while_iteration, Env, RuntimeError, Value};
 
 /// How `sample` sites are resolved during interpretation.
 pub enum Mode<'a, T: Real> {
@@ -188,12 +188,7 @@ impl<'a, T: Real> Interp<'a, T> {
                             if c.value() == 0.0 {
                                 break;
                             }
-                            iterations += 1;
-                            if iterations > 10_000_000 {
-                                return Err(RuntimeError::new(
-                                    "while loop exceeded the iteration budget",
-                                ));
-                            }
+                            count_while_iteration(&mut iterations)?;
                             self.eval(loop_body, env)?;
                         }
                     }

@@ -30,7 +30,7 @@ use crate::resolved::{
     CallTarget, Frame, FrameView, RDecl, RDeclKind, RDistCall, RExpr, RGExpr, RIndex, RLoopKind,
     RSweep, ResolvedProgram, SweepArgSpec,
 };
-use crate::value::{RuntimeError, Value};
+use crate::value::{count_while_iteration, RuntimeError, Value};
 
 /// Evaluation context for resolved programs: the resolved program (for the
 /// symbol table), the user-function table, and the shared value-level
@@ -550,12 +550,7 @@ impl<'a, T: Real> RInterp<'a, T> {
                             if c.value() == 0.0 {
                                 break;
                             }
-                            iterations += 1;
-                            if iterations > 10_000_000 {
-                                return Err(RuntimeError::new(
-                                    "while loop exceeded the iteration budget",
-                                ));
-                            }
+                            count_while_iteration(&mut iterations)?;
                             self.eval(loop_body, frame)?;
                         }
                     }

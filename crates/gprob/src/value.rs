@@ -40,6 +40,25 @@ impl From<probdist::DistError> for RuntimeError {
     }
 }
 
+/// Iterations one `while` loop may run before evaluation fails, so a
+/// program that never leaves its loop ends in an error rather than a hang.
+const WHILE_ITERATION_BUDGET: usize = 10_000_000;
+
+/// Counts one `while` iteration against the shared budget. Every evaluator
+/// calls this once per iteration that enters the loop body.
+///
+/// # Errors
+/// Fails once the count exceeds the budget.
+pub(crate) fn count_while_iteration(iterations: &mut usize) -> Result<(), RuntimeError> {
+    *iterations += 1;
+    if *iterations > WHILE_ITERATION_BUDGET {
+        return Err(RuntimeError::new(
+            "while loop exceeded the iteration budget",
+        ));
+    }
+    Ok(())
+}
+
 /// A runtime value. Stan's `vector`, `row_vector` and one-dimensional real
 /// arrays all map to [`Value::Vector`]; matrices and higher-dimensional
 /// arrays are nested [`Value::Array`]s.

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::cancel::CancelToken;
 use crate::svi::{Adam, AdamConfig};
-use crate::target::{GradTarget, GradTargetBatch, GradTargetMut};
+use crate::target::{GradTarget, GradTargetBatch};
 
 /// ADVI configuration.
 #[derive(Debug, Clone)]
@@ -64,110 +64,24 @@ pub struct AdviResult {
     pub cancelled: bool,
 }
 
-/// Fits mean-field ADVI to a `(log p, ∇ log p)` target. Stateful targets
-/// should use [`advi_fit_mut`], which this function delegates to.
+/// Fits mean-field ADVI to a `(log p, ∇ log p)` target. Stateful and
+/// lane-batched targets use [`advi_fit_batch`], which this function
+/// delegates to.
 pub fn advi_fit<T: GradTarget + ?Sized>(target: &T, dim: usize, config: &AdviConfig) -> AdviResult {
     let mut adapter = target;
-    advi_fit_mut(&mut adapter, dim, config)
+    advi_fit_batch(&mut adapter, dim, config)
 }
 
-/// [`advi_fit`] over the buffer-reusing [`GradTargetMut`] interface: the
-/// model-gradient buffer is allocated once and reused across every ELBO
-/// sample.
-pub fn advi_fit_mut<T: GradTargetMut + ?Sized>(
-    target: &mut T,
-    dim: usize,
-    config: &AdviConfig,
-) -> AdviResult {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut mu = vec![0.0f64; dim];
-    let mut omega = vec![-1.0f64; dim];
-    let mut adam = Adam::new(
-        2 * dim,
-        AdamConfig {
-            lr: config.lr,
-            ..Default::default()
-        },
-    );
-    let mut elbo_trace = Vec::new();
-    let report_every = (config.steps / 50).max(1);
-    let mut running = 0.0;
-    let mut g = vec![0.0; dim];
-    let mut eps = vec![0.0; dim];
-    let mut z = vec![0.0; dim];
-    let mut grad = vec![0.0; 2 * dim];
-    let mut step_timer = obs::StepTimer::new("advi.step");
-    let mut cancelled = false;
-
-    for step in 0..config.steps {
-        if config.cancel.is_cancelled() {
-            cancelled = true;
-            break;
-        }
-        step_timer.begin();
-        grad.fill(0.0);
-        let mut elbo = 0.0;
-        for _ in 0..config.grad_samples {
-            for i in 0..dim {
-                eps[i] = standard_normal(&mut rng);
-                z[i] = mu[i] + omega[i].exp() * eps[i];
-            }
-            let lp = target.logp_grad_into(&z, &mut g);
-            let lp = if lp.is_finite() { lp } else { -1e10 };
-            elbo += lp;
-            for i in 0..dim {
-                let gi = if g[i].is_finite() { g[i] } else { 0.0 };
-                grad[i] += gi;
-                grad[dim + i] += gi * omega[i].exp() * eps[i];
-            }
-        }
-        let scale = 1.0 / config.grad_samples as f64;
-        for i in 0..dim {
-            grad[i] *= scale;
-            // Entropy term: d/dω [ Σ ω ] = 1.
-            grad[dim + i] = grad[dim + i] * scale + 1.0;
-            elbo += omega[i]; // entropy up to a constant
-        }
-        let mut params: Vec<f64> = mu.iter().chain(omega.iter()).copied().collect();
-        adam.step(&mut params, &grad);
-        mu.copy_from_slice(&params[..dim]);
-        omega.copy_from_slice(&params[dim..]);
-
-        running += elbo * scale;
-        step_timer.end();
-        if (step + 1) % report_every == 0 {
-            elbo_trace.push(running / report_every as f64);
-            running = 0.0;
-        }
-    }
-
-    let draws: Vec<Vec<f64>> = (0..config.output_samples)
-        .map(|_| {
-            (0..dim)
-                .map(|i| mu[i] + omega[i].exp() * standard_normal(&mut rng))
-                .collect()
-        })
-        .collect();
-
-    AdviResult {
-        mu,
-        omega,
-        draws,
-        elbo_trace,
-        cancelled,
-    }
-}
-
-/// [`advi_fit_mut`] over a [`GradTargetBatch`]: each optimization step draws
-/// all `grad_samples` reparameterized points first and scores them with one
-/// [`GradTargetBatch::logp_grad_batch`] call, so a lane-widened density
-/// program evaluates the whole Monte-Carlo ELBO estimate in one
-/// struct-of-arrays sweep per step.
+/// Fits mean-field ADVI over a [`GradTargetBatch`]: each optimization step
+/// draws all `grad_samples` reparameterized points first and scores them
+/// with one [`GradTargetBatch::logp_grad_batch`] call, so a lane-widened
+/// density program evaluates the whole Monte-Carlo ELBO estimate in one
+/// struct-of-arrays sweep per step. Every scratch buffer is allocated once
+/// and reused across steps.
 ///
-/// The sequential path consumes no RNG between its per-sample draws and
-/// evaluations, so drawing the K·dim noise values up front leaves the RNG
-/// stream — and therefore the entire fit — bitwise identical to
-/// [`advi_fit_mut`] with the same config.
+/// The batch contract makes point `i`'s result what a single-point
+/// evaluation would give, so a fit is bitwise the same whether the target
+/// overrides `logp_grad_batch` or keeps the trait's per-point default.
 pub fn advi_fit_batch<T: GradTargetBatch + ?Sized>(
     target: &mut T,
     dim: usize,
@@ -268,6 +182,7 @@ fn standard_normal(rng: &mut StdRng) -> f64 {
 mod tests {
     use super::*;
     use crate::diagnostics::summarize;
+    use crate::target::GradTargetMut;
 
     #[test]
     fn fits_an_independent_gaussian() {
@@ -294,14 +209,51 @@ mod tests {
         assert!((s[0].mean - 1.0).abs() < 0.2);
     }
 
+    /// An independent Gaussian, scored per point through the trait's
+    /// default `logp_grad_batch` loop.
+    struct PerPoint;
+
+    fn gauss(q: &[f64], grad: &mut [f64]) -> f64 {
+        let z1 = (q[0] - 1.0) / 0.5;
+        let z2 = (q[1] + 2.0) / 2.0;
+        grad[0] = -z1 / 0.5;
+        grad[1] = -z2 / 2.0;
+        -0.5 * z1 * z1 - 0.5 * z2 * z2
+    }
+
+    impl GradTargetMut for PerPoint {
+        fn logp_grad_into(&mut self, q: &[f64], grad: &mut [f64]) -> f64 {
+            gauss(q, grad)
+        }
+    }
+
+    impl GradTargetBatch for PerPoint {}
+
+    /// The same density with an overriding batch method that scores the
+    /// points back to front, as a lane backend is free to order its work.
+    struct Batched {
+        calls: usize,
+    }
+
+    impl GradTargetMut for Batched {
+        fn logp_grad_into(&mut self, _: &[f64], _: &mut [f64]) -> f64 {
+            unreachable!("the batched fit scores through logp_grad_batch only")
+        }
+    }
+
+    impl GradTargetBatch for Batched {
+        fn logp_grad_batch(&mut self, qs: &[f64], logps: &mut [f64], grads: &mut [f64]) {
+            self.calls += 1;
+            let dim = qs.len() / logps.len();
+            for i in (0..logps.len()).rev() {
+                let span = i * dim..(i + 1) * dim;
+                logps[i] = gauss(&qs[span.clone()], &mut grads[span]);
+            }
+        }
+    }
+
     #[test]
     fn batched_fit_matches_sequential_fit_bitwise() {
-        let target = |q: &[f64]| {
-            let z1 = (q[0] - 1.0) / 0.5;
-            let z2 = (q[1] + 2.0) / 2.0;
-            let lp = -0.5 * z1 * z1 - 0.5 * z2 * z2;
-            (lp, vec![-z1 / 0.5, -z2 / 2.0])
-        };
         let cfg = AdviConfig {
             steps: 200,
             grad_samples: 4,
@@ -309,9 +261,10 @@ mod tests {
             seed: 9,
             ..Default::default()
         };
-        let want = advi_fit(&target, 2, &cfg);
-        let mut batched = &target;
+        let want = advi_fit_batch(&mut PerPoint, 2, &cfg);
+        let mut batched = Batched { calls: 0 };
         let got = advi_fit_batch(&mut batched, 2, &cfg);
+        assert_eq!(batched.calls, cfg.steps, "one batch call per step");
         assert_eq!(want.mu, got.mu);
         assert_eq!(want.omega, got.omega);
         assert_eq!(want.draws, got.draws);

@@ -51,7 +51,9 @@
 //! [`advi::advi_fit_batch`] scores each step's Monte-Carlo guide draws in
 //! one pass (and importance sampling its prior draws), which is how
 //! lane-widened struct-of-arrays density programs evaluate several points
-//! per sweep — bitwise identical per fit to [`advi::advi_fit_mut`].
+//! per sweep. [`advi::advi_fit_batch`] is the one ADVI step loop: a target
+//! without a batched backend keeps the trait's per-point default, and the
+//! fit is bitwise the same either way.
 //!
 //! # Example
 //!
@@ -76,7 +78,7 @@ pub mod predictive;
 pub mod svi;
 pub mod target;
 
-pub use advi::{advi_fit, advi_fit_batch, advi_fit_mut, AdviConfig, AdviResult};
+pub use advi::{advi_fit, advi_fit_batch, AdviConfig, AdviResult};
 pub use cancel::CancelToken;
 pub use diagnostics::{
     accuracy_pass, ess, multi_ess, multi_split_rhat, split_rhat, summarize, Summary,
@@ -85,7 +87,5 @@ pub use hmc::{hmc_sample, hmc_sample_mut, HmcConfig, HmcResult};
 pub use loo::{loo_compare, psis_loo, waic, CompareRow, ElpdEstimate};
 pub use nuts::{nuts_sample, nuts_sample_mut, NutsConfig, NutsResult};
 pub use predictive::{draw_seed, stream_chains, GqTable, StreamError};
-pub use svi::{
-    svi_optimize, svi_optimize_draws, svi_optimize_draws_cancellable, Adam, AdamConfig, SviResult,
-};
+pub use svi::{svi_optimize_draws_cancellable, Adam, AdamConfig, SviResult};
 pub use target::{GradTarget, GradTargetBatch, GradTargetMut};

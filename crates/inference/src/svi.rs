@@ -89,61 +89,18 @@ pub struct SviResult {
 
 /// Maximizes a stochastic objective (the ELBO) with Adam.
 ///
-/// `objective_grad` receives the current parameters and an RNG (for drawing
-/// the Monte-Carlo noise of the reparameterized ELBO estimate) and returns
-/// `(elbo_estimate, gradient)`.
-pub fn svi_optimize<F: FnMut(&[f64], &mut StdRng) -> (f64, Vec<f64>)>(
-    objective_grad: &mut F,
-    init: Vec<f64>,
-    steps: usize,
-    config: AdamConfig,
-    seed: u64,
-) -> SviResult {
-    let mut multi = |params: &[f64], _draws: usize, rng: &mut StdRng| objective_grad(params, rng);
-    svi_optimize_draws_cancellable(
-        &mut multi,
-        init,
-        steps,
-        1,
-        config,
-        seed,
-        &CancelToken::new(),
-    )
-}
-
-/// [`svi_optimize`] with a multi-draw objective: `objective_grad` receives
-/// the number of Monte-Carlo draws to average per step, letting a batched
-/// backend (e.g. a lane-widened density program behind
-/// [`crate::GradTargetBatch`]) score all `draws` guide samples in one sweep.
-/// Gradients returned by the objective are already averaged over its draws.
+/// `objective_grad` receives the current parameters, the number of
+/// Monte-Carlo draws to average per step, and an RNG (for drawing the noise
+/// of the reparameterized ELBO estimate), and returns
+/// `(elbo_estimate, gradient)` with the gradient already averaged over its
+/// draws. The count lets a batched backend (e.g. a lane-widened density
+/// program behind [`crate::GradTargetBatch`]) score all `draws` guide
+/// samples in one sweep.
 ///
-/// With `draws == 1` and an objective that ignores the count, this is
-/// exactly [`svi_optimize`]: the step loop, Adam state, and reporting
-/// cadence are identical.
-pub fn svi_optimize_draws<F: FnMut(&[f64], usize, &mut StdRng) -> (f64, Vec<f64>)>(
-    objective_grad: &mut F,
-    init: Vec<f64>,
-    steps: usize,
-    draws: usize,
-    config: AdamConfig,
-    seed: u64,
-) -> SviResult {
-    svi_optimize_draws_cancellable(
-        objective_grad,
-        init,
-        steps,
-        draws,
-        config,
-        seed,
-        &CancelToken::new(),
-    )
-}
-
-/// [`svi_optimize_draws`] with cooperative cancellation: `cancel` is
-/// polled once per optimization step (never inside the objective), and a
-/// fired token stops the loop with the parameters from the last completed
-/// step and `cancelled: true`. With a never-firing token the run is
-/// bitwise identical to [`svi_optimize_draws`].
+/// `cancel` is polled once per optimization step (never inside the
+/// objective), and a fired token stops the loop with the parameters from
+/// the last completed step and `cancelled: true`. A token that never fires
+/// leaves the run unchanged.
 #[allow(clippy::too_many_arguments)]
 pub fn svi_optimize_draws_cancellable<F: FnMut(&[f64], usize, &mut StdRng) -> (f64, Vec<f64>)>(
     objective_grad: &mut F,
@@ -218,23 +175,44 @@ mod tests {
 
     #[test]
     fn single_draw_multi_draw_loop_matches_the_plain_loop_bitwise() {
-        let make_objective = || {
-            |params: &[f64], rng: &mut StdRng| -> (f64, Vec<f64>) {
-                let noise: f64 = rng.gen::<f64>() - 0.5;
-                let g = -2.0 * (params[0] - 3.0) + noise;
-                (-(params[0] - 3.0).powi(2), vec![g])
-            }
+        let objective = |params: &[f64], rng: &mut StdRng| -> (f64, Vec<f64>) {
+            let noise: f64 = rng.gen::<f64>() - 0.5;
+            let g = -2.0 * (params[0] - 3.0) + noise;
+            (-(params[0] - 3.0).powi(2), vec![g])
         };
-        let mut plain = make_objective();
-        let want = svi_optimize(&mut plain, vec![0.0], 300, AdamConfig::default(), 17);
-        let inner = make_objective();
+        // The plain loop: one draw, one Adam step, the trace averaged over
+        // `steps / 50` steps.
+        let (steps, report_every) = (300, 6);
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut want_params = vec![0.0];
+        let mut adam = Adam::new(1, AdamConfig::default());
+        let mut want_trace = Vec::new();
+        let mut running = 0.0;
+        for step in 0..steps {
+            let (elbo, grad) = objective(&want_params, &mut rng);
+            adam.step(&mut want_params, &grad);
+            running += elbo;
+            if (step + 1) % report_every == 0 {
+                want_trace.push(running / report_every as f64);
+                running = 0.0;
+            }
+        }
         let mut multi = |params: &[f64], draws: usize, rng: &mut StdRng| -> (f64, Vec<f64>) {
             assert_eq!(draws, 1);
-            inner(params, rng)
+            objective(params, rng)
         };
-        let got = svi_optimize_draws(&mut multi, vec![0.0], 300, 1, AdamConfig::default(), 17);
-        assert_eq!(want.params, got.params);
-        assert_eq!(want.elbo_trace, got.elbo_trace);
+        let got = svi_optimize_draws_cancellable(
+            &mut multi,
+            vec![0.0],
+            steps,
+            1,
+            AdamConfig::default(),
+            17,
+            &CancelToken::new(),
+        );
+        assert_eq!(want_params, got.params);
+        assert_eq!(want_trace, got.elbo_trace);
+        assert!(!got.cancelled);
     }
 
     #[test]
@@ -242,7 +220,7 @@ mod tests {
         // Target: theta ~ N(2, 0.5^2). Variational family: N(mu, exp(omega)).
         // The reparameterized ELBO gradient has a closed form here; we just
         // give noisy gradients and check convergence of mu.
-        let mut objective = |params: &[f64], rng: &mut StdRng| -> (f64, Vec<f64>) {
+        let mut objective = |params: &[f64], _draws: usize, rng: &mut StdRng| -> (f64, Vec<f64>) {
             let (mu, omega) = (params[0], params[1]);
             let sigma_q = omega.exp();
             let eps: f64 = {
@@ -259,15 +237,17 @@ mod tests {
             let grad = vec![dlogp_dz, dlogp_dz * sigma_q * eps + 1.0];
             (elbo, grad)
         };
-        let result = svi_optimize(
+        let result = svi_optimize_draws_cancellable(
             &mut objective,
             vec![0.0, 0.0],
             4000,
+            1,
             AdamConfig {
                 lr: 0.02,
                 ..Default::default()
             },
             1,
+            &CancelToken::new(),
         );
         assert!(
             (result.params[0] - 2.0).abs() < 0.15,

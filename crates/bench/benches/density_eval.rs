@@ -254,14 +254,16 @@ fn bench_density(c: &mut Criterion) {
     // with a scalar probability, normal with a scalar scale
     // (implicit_prior); plus the models whose JIT reverse pass keeps hot
     // adjoints in registers: blr (a matrix-vector product) and
-    // kidscore_mom_work (two broadcast coefficients per element-wise op).
-    // Interpreted and routed (JIT) rows.
+    // kidscore_mom_work (two broadcast coefficients per element-wise op);
+    // plus radon_hierarchical, whose per-group sweep loop expands at bind
+    // time. Interpreted and routed (JIT) rows.
     for name in [
         "coin",
         "seeds_binomial",
         "implicit_prior",
         "blr",
         "kidscore_mom_work",
+        "radon_hierarchical",
     ] {
         let entry = model_zoo::find(name).unwrap();
         let program = DeepStan::compile_named(name, entry.source).unwrap();

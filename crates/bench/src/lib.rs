@@ -379,7 +379,7 @@ mod tests {
     fn mixed_backend_meets_the_paper_criterion_against_the_reference() {
         // Reference and backend fit the same data set and differ only in
         // their chain seeds, as in Table 4.
-        for name in ["kidscore_momiq", "multiple_updates"] {
+        for name in ["kidscore_momiq", "multiple_updates", "radon_hierarchical"] {
             let entry = model_zoo::find(name).unwrap();
             let reference = run_backend(&entry, BackendKind::StanRef, 42);
             let mixed = run_backend(&entry, BackendKind::GProbMixed, 7);

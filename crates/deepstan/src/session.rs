@@ -34,7 +34,7 @@
 //! model also lowers its density to a flat register program when the body
 //! admits one (and, where the platform allows, to native code); every
 //! chain's [`WorkspaceTarget`] then evaluates gradients with no tape at all
-//! (NUTS, HMC and ADVI all drive the same `log_density_and_grad_with`
+//! (NUTS and ADVI both drive the same `log_density_and_grad_with`
 //! route). Models that decline — with a reason readable via
 //! `GModel::dprog_decline` — keep the recorded-tape path, byte-identical to
 //! the previous behavior. ADVI batches its per-step Monte-Carlo guide draws

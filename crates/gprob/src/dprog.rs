@@ -107,13 +107,31 @@
 //!   symbolic comparisons, and symbolic integer coercions;
 //! * shapes whose *runtime* path would raise an error (out-of-bounds
 //!   windows, arity mismatches): declining keeps the error byte-identical
-//!   on the retained path.
+//!   on the retained path;
+//! * counted loops past the expansion budget (below).
 //!
 //! Everything the corpus' hot models need compiles: scalar and vector
 //! parameters, vectorized `~` statements, lowered observe sweeps (kept as
 //! batch-kernel ops), fixed-trip-count recurrence loops (arK / garch11 /
 //! arma11-class), `target +=` with `log_mix` / `*_lpdf` calls, and
 //! matrix-vector regression heads.
+//!
+//! # Loops: rolled or expanded
+//!
+//! A counted loop with bind-known bounds compiles to one rolled
+//! `Loop` op when its body is a chain of assignments, observes and
+//! factors. A body holding a sweep, a nested loop, a declaration, a sample
+//! site or a data-dependent conditional (radon_hierarchical's
+//! `for (j in 1:J) { mu[j] ~ …; for (i in 1:N) y[j, i] ~ … }`) cannot roll;
+//! the loop then *expands* at bind time: each iteration binds the counter as
+//! a known int and lowers the body as straight-line code, so an inner sweep
+//! stays one batch-kernel op per iteration and an inner loop that rolls
+//! stays a rolled `Loop`. The JIT unrolls every loop anyway, so both forms
+//! reach the same machine code. Expansion is bounded (`serve` binds client
+//! source): at most `MAX_EXPAND_TRIPS` iterations lowered inside
+//! expansions, counted before each loop, and at most `MAX_EXPAND_OPS` ops
+//! and `MAX_EXPAND_WORDS` register and table words, checked after each
+//! iteration. Past a bound the loop declines and the model keeps the tape.
 
 use std::collections::HashMap;
 
@@ -1902,7 +1920,7 @@ struct ElemWrite {
     idx0: usize,
 }
 
-/// Loop-compilation state (one level; nested symbolic loops decline).
+/// Loop-compilation state (one level; a body holding a loop expands instead).
 struct Lc {
     counter: u32,
     lo: i64,
@@ -1946,7 +1964,32 @@ struct Compiler<'a> {
     tables_i: Vec<Vec<i64>>,
     outer_ops: Vec<Op>,
     lc: Option<Lc>,
+    /// Entries held by `tables_f`/`tables_i`, for the expansion budget.
+    table_words: usize,
+    /// Iterations lowered inside loop expansions so far (see
+    /// [`MAX_EXPAND_TRIPS`]).
+    expanded_trips: u64,
+    /// Depth of the loop expansions being lowered (0 outside any).
+    expand_depth: u32,
 }
+
+/// Budget of bind-time loop expansion (`Compiler::expand_loop`), beside the
+/// JIT's own code-size cap (`jit::emit::MAX_CODE_BYTES`). `serve` binds
+/// client source, so an expansion must stop in bounded time and memory; past
+/// any bound the loop declines with a stated reason and the model keeps the
+/// tape.
+///
+/// Iterations lowered inside expansions, over the whole program: each
+/// expanded loop, and each rolled loop nested in one, charges its trip count
+/// before it is lowered.
+const MAX_EXPAND_TRIPS: u64 = 1 << 16;
+/// Top-level ops in the program (a rolled loop counts once), checked after
+/// every expanded iteration.
+const MAX_EXPAND_OPS: usize = 1 << 16;
+/// Registers plus table entries (f64/i64 words) in the program, checked
+/// after every expanded iteration: an iteration's ops may carry data tables
+/// or a rolled loop's register chain, which the op count does not see.
+const MAX_EXPAND_WORDS: usize = 1 << 22;
 
 /// Whether a sweep could not compile directly but its retained fallback
 /// loop should be compiled instead (shapes where the runtime would also
@@ -2024,11 +2067,13 @@ impl<'a> Compiler<'a> {
     }
 
     fn table_f(&mut self, v: Vec<f64>) -> u32 {
+        self.table_words += v.len();
         self.tables_f.push(v);
         (self.tables_f.len() - 1) as u32
     }
 
     fn table_i(&mut self, v: Vec<i64>) -> u32 {
+        self.table_words += v.len();
         self.tables_i.push(v);
         (self.tables_i.len() - 1) as u32
     }
@@ -3105,7 +3150,9 @@ struct BodyScan {
     whole_writes: Vec<(u32, u32)>,
     indexed_writes: Vec<u32>,
     reads: Vec<u32>,
-    bad: Option<&'static str>,
+    /// Why the body cannot roll into one [`Op::Loop`]; such a loop expands
+    /// at bind time instead (`Compiler::expand_loop`).
+    no_roll: Option<&'static str>,
 }
 
 impl BodyScan {
@@ -3162,23 +3209,23 @@ impl BodyScan {
                     return;
                 }
                 RGExpr::LetDecl { .. } => {
-                    self.bad = Some("declaration inside a compiled loop");
+                    self.no_roll = Some("a declaration");
                     return;
                 }
                 RGExpr::LetSample { .. } => {
-                    self.bad = Some("sample site inside a compiled loop");
+                    self.no_roll = Some("a sample site");
                     return;
                 }
                 RGExpr::If { .. } => {
-                    self.bad = Some("conditional inside a compiled loop");
+                    self.no_roll = Some("a conditional");
                     return;
                 }
                 RGExpr::LetLoop { .. } => {
-                    self.bad = Some("nested loop inside a compiled loop");
+                    self.no_roll = Some("a nested loop");
                     return;
                 }
                 RGExpr::ObserveSweep { .. } => {
-                    self.bad = Some("batched sweep inside a compiled loop");
+                    self.no_roll = Some("a batched sweep");
                     return;
                 }
             }
@@ -3574,7 +3621,8 @@ impl<'a> Compiler<'a> {
 
     /// Compiles a loop: fully data-determined score-free subtrees fold by
     /// compile-time execution; counted loops with symbolic work compile to a
-    /// [`Op::Loop`]; everything else declines.
+    /// [`Op::Loop`] when their body rolls, and expand at bind time when it
+    /// does not; everything else declines.
     fn do_loop(&mut self, kind: &RLoopKind, loop_body: &RGExpr) -> Result<(), Decline> {
         // Fold: no symbolic slots anywhere in the subtree and no
         // probabilistic statements — execute the loop now against the known
@@ -3621,8 +3669,68 @@ impl<'a> Compiler<'a> {
             self.unbind(*slot);
             return Ok(());
         }
-        let trip = (hi - lo + 1) as u32;
-        self.do_sym_loop(*slot, lo, trip, loop_body)
+        let trip = u64::try_from(i128::from(hi) - i128::from(lo) + 1).unwrap_or(u64::MAX);
+        let mut scan = BodyScan::default();
+        scan.scan(loop_body);
+        if let Some(why) = scan.no_roll {
+            self.charge_expansion(trip, &format!("whose body holds {why}"))?;
+            return self.expand_loop(*slot, lo, trip, loop_body);
+        }
+        if self.expand_depth > 0 {
+            self.charge_expansion(trip, "rolled inside an expanded loop")?;
+        }
+        let trip = u32::try_from(trip).map_err(|_| {
+            decline(format!(
+                "loop of {trip} iterations overflows the register file"
+            ))
+        })?;
+        self.do_sym_loop(*slot, lo, trip, loop_body, scan)
+    }
+
+    /// Charges `trip` iterations to the expansion budget before lowering
+    /// them ([`MAX_EXPAND_TRIPS`]).
+    fn charge_expansion(&mut self, trip: u64, what: &str) -> Result<(), Decline> {
+        self.expanded_trips = self.expanded_trips.saturating_add(trip);
+        if self.expanded_trips > MAX_EXPAND_TRIPS {
+            return Err(decline(format!(
+                "loop expansion past {MAX_EXPAND_TRIPS} iterations \
+                 (a loop of {trip} iterations {what})"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Lowers a counted loop whose body cannot roll into one [`Op::Loop`] by
+    /// expanding it at bind time: each iteration binds the counter as a
+    /// known int and lowers the body as straight-line code, as the
+    /// interpreter runs it. Whatever the straight-line lowering declines
+    /// (a parameter-dependent branch, a user function) still declines, and
+    /// so does an expansion past [`MAX_EXPAND_OPS`] or [`MAX_EXPAND_WORDS`].
+    /// A decline abandons the whole compile, so no state is restored on
+    /// that path.
+    fn expand_loop(
+        &mut self,
+        counter: u32,
+        lo: i64,
+        trip: u64,
+        loop_body: &RGExpr,
+    ) -> Result<(), Decline> {
+        self.expand_depth += 1;
+        for it in 0..trip {
+            self.bind_known(counter, Value::Int(lo + it as i64));
+            self.cstmt(loop_body)?;
+            if self.outer_ops.len() > MAX_EXPAND_OPS {
+                return Err(decline(format!("loop expansion past {MAX_EXPAND_OPS} ops")));
+            }
+            if self.next_reg as usize + self.table_words > MAX_EXPAND_WORDS {
+                return Err(decline(format!(
+                    "loop expansion past {MAX_EXPAND_WORDS} register and table words"
+                )));
+            }
+        }
+        self.expand_depth -= 1;
+        self.unbind(counter);
+        Ok(())
     }
 
     fn do_sym_loop(
@@ -3631,12 +3739,8 @@ impl<'a> Compiler<'a> {
         lo: i64,
         trip: u32,
         loop_body: &RGExpr,
+        scan: BodyScan,
     ) -> Result<(), Decline> {
-        let mut scan = BodyScan::default();
-        scan.scan(loop_body);
-        if let Some(bad) = scan.bad {
-            return Err(decline(bad));
-        }
         if scan.indexed_writes.iter().any(|s| scan.reads.contains(s)) {
             return Err(decline(
                 "loop both reads and element-writes the same container",
@@ -3711,7 +3815,7 @@ impl<'a> Compiler<'a> {
             binds,
             chains,
             elem_writes: Vec::new(),
-            vec_writes: scan.indexed_writes.clone(),
+            vec_writes: scan.indexed_writes,
         });
         let result = self.lstmt(loop_body);
         let lc = self.lc.take().expect("loop context present");
@@ -3793,7 +3897,7 @@ impl<'a> Compiler<'a> {
                     return Ok(());
                 }
                 other => {
-                    // The pre-scan declined every other form already.
+                    // The pre-scan sent every other form to expansion.
                     return Err(decline(format!(
                         "unsupported statement inside a compiled loop: {other:?}"
                     )));
@@ -4624,6 +4728,9 @@ pub fn compile(
         tables_i: Vec::new(),
         outer_ops: Vec::new(),
         lc: None,
+        table_words: 0,
+        expanded_trips: 0,
+        expand_depth: 0,
     };
     for (ps, rp) in slots.iter().zip(&resolved.params) {
         if ps.dims.len() > 1 {

@@ -7,8 +7,6 @@
 //!   step-size adaptation and diagonal mass-matrix estimation), Stan's and
 //!   Pyro's preferred inference method and the one used for every accuracy /
 //!   speed comparison in the paper's evaluation.
-//! * [`hmc`] — plain fixed-length Hamiltonian Monte Carlo, kept as a simpler
-//!   baseline and for tests.
 //! * [`advi`] — automatic differentiation variational inference with a
 //!   mean-field Gaussian family (the `Stan ADVI` baseline of Figure 10).
 //! * [`svi`] — stochastic variational inference utilities (the Adam optimizer
@@ -36,8 +34,8 @@
 //! convergence is assessed with [`diagnostics::multi_split_rhat`] /
 //! [`diagnostics::multi_ess`].
 //!
-//! Because every sampler goes through `GradTargetMut`, NUTS, HMC and ADVI
-//! all pick up the tape-free density programs (`gprob::dprog`) transparently:
+//! Because every sampler goes through `GradTargetMut`, NUTS and ADVI both
+//! pick up the tape-free density programs (`gprob::dprog`) transparently:
 //! a `gprob`-backed target routes `logp_grad_into` to the compiled register
 //! program when the model's density lowered at bind time, and to the
 //! recorded-tape interpreter when it declined. Nothing in this crate needs
@@ -70,7 +68,6 @@
 pub mod advi;
 pub mod cancel;
 pub mod diagnostics;
-pub mod hmc;
 pub mod importance;
 pub mod loo;
 pub mod nuts;
@@ -83,7 +80,6 @@ pub use cancel::CancelToken;
 pub use diagnostics::{
     accuracy_pass, ess, multi_ess, multi_split_rhat, split_rhat, summarize, Summary,
 };
-pub use hmc::{hmc_sample, hmc_sample_mut, HmcConfig, HmcResult};
 pub use loo::{loo_compare, psis_loo, waic, CompareRow, ElpdEstimate};
 pub use nuts::{nuts_sample, nuts_sample_mut, NutsConfig, NutsResult};
 pub use predictive::{draw_seed, stream_chains, GqTable, StreamError};

@@ -372,9 +372,9 @@ impl<T: Real> Dist<T> {
                 if k < 0.0 || k > *n as f64 {
                     return Ok(neg_inf);
                 }
-                let log_choose = special::lgamma(*n as f64 + 1.0)
-                    - special::lgamma(k + 1.0)
-                    - special::lgamma(*n as f64 - k + 1.0);
+                let log_choose = special::ln_factorial(*n as f64)
+                    - special::ln_factorial(k)
+                    - special::ln_factorial(*n as f64 - k);
                 Ok(T::from_f64(log_choose)
                     + T::from_f64(k) * p.ln()
                     + T::from_f64(*n as f64 - k) * (T::from_f64(1.0) - *p).ln())
@@ -384,9 +384,9 @@ impl<T: Real> Dist<T> {
                 if k < 0.0 || k > *n as f64 {
                     return Ok(neg_inf);
                 }
-                let log_choose = special::lgamma(*n as f64 + 1.0)
-                    - special::lgamma(k + 1.0)
-                    - special::lgamma(*n as f64 - k + 1.0);
+                let log_choose = special::ln_factorial(*n as f64)
+                    - special::ln_factorial(k)
+                    - special::ln_factorial(*n as f64 - k);
                 // k ln sigmoid(l) + (n-k) ln sigmoid(-l), in softplus form.
                 Ok(T::from_f64(log_choose)
                     - T::from_f64(k) * (-*logit).softplus()
@@ -397,7 +397,7 @@ impl<T: Real> Dist<T> {
                 if k < 0.0 {
                     return Ok(neg_inf);
                 }
-                Ok(T::from_f64(k) * rate.ln() - *rate - T::from_f64(special::lgamma(k + 1.0)))
+                Ok(T::from_f64(k) * rate.ln() - *rate - T::from_f64(special::ln_factorial(k)))
             }
             Dist::PoissonLog { log_rate } => {
                 let k = x.value().round();
@@ -406,7 +406,7 @@ impl<T: Real> Dist<T> {
                 }
                 Ok(T::from_f64(k) * *log_rate
                     - log_rate.exp()
-                    - T::from_f64(special::lgamma(k + 1.0)))
+                    - T::from_f64(special::ln_factorial(k)))
             }
             Dist::Categorical { probs } => {
                 let k = x.value().round() as i64;

@@ -302,7 +302,7 @@ pub fn binomial_lpmf_from_logs(x: f64, n: f64, ln_p: f64, ln_1mp: f64) -> f64 {
         return f64::NEG_INFINITY;
     }
     let log_choose =
-        special::lgamma(n + 1.0) - special::lgamma(k + 1.0) - special::lgamma(n - k + 1.0);
+        special::ln_factorial(n) - special::ln_factorial(k) - special::ln_factorial(n - k);
     log_choose + k * ln_p + (n - k) * ln_1mp
 }
 
@@ -373,7 +373,7 @@ fn elem(kind: DistKind, x: f64, a: &[f64; 3], want: bool) -> (f64, f64, [f64; 3]
             if k < 0.0 {
                 return (neg_inf, zero.1, zero.2);
             }
-            let lp = k * rate.ln() - rate - special::lgamma(k + 1.0);
+            let lp = k * rate.ln() - rate - special::ln_factorial(k);
             (lp, 0.0, [if want { k / rate - 1.0 } else { 0.0 }, 0.0, 0.0])
         }
         DistKind::PoissonLog => {
@@ -382,7 +382,7 @@ fn elem(kind: DistKind, x: f64, a: &[f64; 3], want: bool) -> (f64, f64, [f64; 3]
             if k < 0.0 {
                 return (neg_inf, zero.1, zero.2);
             }
-            let lp = k * eta - eta.exp() - special::lgamma(k + 1.0);
+            let lp = k * eta - eta.exp() - special::ln_factorial(k);
             (lp, 0.0, [if want { k - eta.exp() } else { 0.0 }, 0.0, 0.0])
         }
         DistKind::Exponential => {
@@ -478,7 +478,7 @@ fn elem(kind: DistKind, x: f64, a: &[f64; 3], want: bool) -> (f64, f64, [f64; 3]
                 return (neg_inf, zero.1, zero.2);
             }
             let log_choose =
-                special::lgamma(n + 1.0) - special::lgamma(k + 1.0) - special::lgamma(n - k + 1.0);
+                special::ln_factorial(n) - special::ln_factorial(k) - special::ln_factorial(n - k);
             let lp = log_choose - k * special::softplus(-l) - (n - k) * special::softplus(l);
             if !want {
                 return (lp, 0.0, [0.0; 3]);

@@ -505,10 +505,26 @@ fn encode_rows(header: String, rows: &[Vec<f64>]) -> String {
                 out.push(' ');
             }
             first = false;
-            out.push_str(&x.to_string());
+            push_f64(&mut out, *x);
         }
     }
     out
+}
+
+/// Appends `x` spelled exactly as `x.to_string()` spells it. An integral
+/// finite value below 2^53 in magnitude (a generated-quantity int column,
+/// say) prints through `i64`, which gives the same digits without float
+/// formatting; `-0.0` stays on the float path, which prints it as `-0`.
+fn push_f64(out: &mut String, x: f64) {
+    use std::fmt::Write as _;
+    let written =
+        if x.fract() == 0.0 && x.abs() < (1u64 << 53) as f64 && !(x == 0.0 && x.is_sign_negative())
+        {
+            write!(out, "{}", x as i64)
+        } else {
+            write!(out, "{x}")
+        };
+    written.expect("writing to a String cannot fail");
 }
 
 fn parse_rows<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Vec<Vec<f64>>, String> {
@@ -626,6 +642,48 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("hello\nworld"));
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
         assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn row_numbers_encode_exactly_as_to_string() {
+        let two53 = (1u64 << 53) as f64;
+        let xs = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            two53,
+            -two53,
+            two53 - 1.0,
+            -(two53 - 1.0),
+            two53 + 2.0,
+            1e15,
+            -123_456_789.0,
+            0.5,
+            -2.5,
+            1e-300,
+            f64::MIN_POSITIVE / 2.0,
+            -f64::from_bits(1),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for x in xs {
+            let mut out = String::new();
+            push_f64(&mut out, x);
+            assert_eq!(out, x.to_string(), "{x:e}");
+        }
+        let rows = vec![xs.to_vec(), vec![3.0, -0.0, 7.25]];
+        let want: Vec<String> = rows
+            .iter()
+            .map(|r| r.iter().map(f64::to_string).collect::<Vec<_>>().join(" "))
+            .collect();
+        assert_eq!(
+            encode_rows("draws".to_string(), &rows),
+            format!("draws\n{}", want.join("\n"))
+        );
     }
 
     #[test]

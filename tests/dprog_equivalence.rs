@@ -1,13 +1,16 @@
 //! Differential suite for the tape-free density programs (`gprob::dprog`):
 //!
-//! * across the whole corpus and every scheme, models whose density compiles
-//!   to a DProg must agree with the retained `Var`/tape oracle *and* the
-//!   string baseline — values to 1e-12, gradients to 1e-10;
+//! * across the whole corpus and every scheme, and across the loop shapes
+//!   that expand at bind time, models whose density compiles to a DProg
+//!   must agree with the retained `Var`/tape oracle *and* the string
+//!   baseline — values to 1e-12, gradients to 1e-10;
 //! * the compiler must compile the shapes it claims to (eight_schools both
 //!   variants, the kidscore family, arK's lagged sweep, garch11 / arma11
-//!   recurrence loops as loop ops, mesquite's matrix-vector head) and
-//!   decline the ones it cannot (parameter-dependent branches, user-defined
-//!   function calls, missing-stdlib CDFs) with a stated reason;
+//!   recurrence loops as loop ops, mesquite's matrix-vector head,
+//!   radon_hierarchical's expanded loop) and decline the ones it cannot
+//!   (parameter-dependent branches, user-defined function calls,
+//!   missing-stdlib CDFs, loops past the expansion budget) with a stated
+//!   reason;
 //! * declined models evaluate byte-identically to the tape path (same code
 //!   path, pinned here against the oracle);
 //! * a proptest over random expression bodies confirms compiling (or
@@ -18,6 +21,8 @@ use gprob::GModel;
 use proptest::prelude::*;
 use stan2gprob::{compile, Scheme};
 use stan_frontend::parse_program;
+
+mod common;
 
 fn probe_points(dim: usize) -> Vec<Vec<f64>> {
     let seeds = [
@@ -42,7 +47,69 @@ fn bind(source: &str, scheme: Scheme, data: &Env<f64>) -> Option<GModel> {
     GModel::new(compiled, data.clone()).ok()
 }
 
-/// DProg vs tape oracle vs string baseline across the corpus.
+/// Values (DProg pooled path vs interpreter vs string baseline, 1e-12) and
+/// gradients (DProg reverse sweep vs the `Var`/tape oracle, 1e-10) at the
+/// probe points; returns the number of points whose values were checked.
+fn assert_matches_tape(model: &GModel, label: &str) -> usize {
+    let mut checked_points = 0;
+    let dim = model.dim();
+    let mut ws_dprog = model.grad_workspace();
+    let mut ws_tape = model.grad_workspace();
+    let mut ws_value = model.workspace::<f64>();
+    let mut g_dprog = vec![0.0; dim];
+    let mut g_tape = vec![0.0; dim];
+    for theta in probe_points(dim) {
+        // Values: DProg (pooled f64 path) vs interpreter vs string.
+        let a = model.log_density_f64_with(&mut ws_value, &theta);
+        let b = model.log_density_f64(&theta);
+        let c = model.log_density_f64_baseline(&theta);
+        match (a, b, c) {
+            (Ok(a), Ok(b), Ok(c)) => {
+                if a.is_finite() || b.is_finite() || c.is_finite() {
+                    assert!(
+                        (a - b).abs() < 1e-12,
+                        "{label} at {theta:?}: dprog {a} vs interp {b}"
+                    );
+                    assert!(
+                        (a - c).abs() < 1e-12,
+                        "{label} at {theta:?}: dprog {a} vs baseline {c}"
+                    );
+                }
+                checked_points += 1;
+            }
+            (Err(_), Err(_), Err(_)) => {}
+            (a, b, c) => panic!(
+                "{label}: value paths diverge: dprog {a:?} vs interp {b:?} vs baseline {c:?}"
+            ),
+        }
+        // Gradients: DProg reverse sweep vs the Var/tape oracle.
+        let lp_d = model.log_density_and_grad_with(&mut ws_dprog, &theta, &mut g_dprog);
+        let lp_t = model.log_density_and_grad_tape_with(&mut ws_tape, &theta, &mut g_tape);
+        match (lp_d, lp_t) {
+            (Ok(ld), Ok(lt)) => {
+                if ld.is_finite() || lt.is_finite() {
+                    assert!(
+                        (ld - lt).abs() < 1e-12,
+                        "{label}: grad-path lp {ld} vs {lt}"
+                    );
+                    for (i, (x, y)) in g_dprog.iter().zip(&g_tape).enumerate() {
+                        let tol = 1e-10 * (1.0 + x.abs().max(y.abs()));
+                        assert!(
+                            (x - y).abs() < tol,
+                            "{label} grad[{i}]: dprog {x} vs tape {y}"
+                        );
+                    }
+                }
+            }
+            (Err(_), Err(_)) => {}
+            (a, b) => panic!("{label}: gradient paths diverge: {a:?} vs {b:?}"),
+        }
+    }
+    checked_points
+}
+
+/// DProg vs tape oracle vs string baseline across the corpus and the loop
+/// shapes that expand at bind time.
 #[test]
 fn dprog_densities_and_gradients_match_the_tape_oracle_and_baseline() {
     let mut compiled_models = 0;
@@ -71,68 +138,29 @@ fn dprog_densities_and_gradients_match_the_tape_oracle_and_baseline() {
                     continue;
                 }
             }
-            let dim = model.dim();
-            let mut ws_dprog = model.grad_workspace();
-            let mut ws_tape = model.grad_workspace();
-            let mut ws_value = model.workspace::<f64>();
-            let mut g_dprog = vec![0.0; dim];
-            let mut g_tape = vec![0.0; dim];
-            for theta in probe_points(dim) {
-                // Values: DProg (pooled f64 path) vs interpreter vs string.
-                let a = model.log_density_f64_with(&mut ws_value, &theta);
-                let b = model.log_density_f64(&theta);
-                let c = model.log_density_f64_baseline(&theta);
-                match (a, b, c) {
-                    (Ok(a), Ok(b), Ok(c)) => {
-                        if a.is_finite() || b.is_finite() || c.is_finite() {
-                            assert!(
-                                (a - b).abs() < 1e-12,
-                                "{} ({scheme:?}) at {theta:?}: dprog {a} vs interp {b}",
-                                entry.name
-                            );
-                            assert!(
-                                (a - c).abs() < 1e-12,
-                                "{} ({scheme:?}) at {theta:?}: dprog {a} vs baseline {c}",
-                                entry.name
-                            );
-                        }
-                        checked_points += 1;
-                    }
-                    (Err(_), Err(_), Err(_)) => {}
-                    (a, b, c) => panic!(
-                        "{} ({scheme:?}): value paths diverge: dprog {a:?} vs interp {b:?} vs baseline {c:?}",
-                        entry.name
-                    ),
-                }
-                // Gradients: DProg reverse sweep vs the Var/tape oracle.
-                let lp_d = model.log_density_and_grad_with(&mut ws_dprog, &theta, &mut g_dprog);
-                let lp_t = model.log_density_and_grad_tape_with(&mut ws_tape, &theta, &mut g_tape);
-                match (lp_d, lp_t) {
-                    (Ok(ld), Ok(lt)) => {
-                        if ld.is_finite() || lt.is_finite() {
-                            assert!(
-                                (ld - lt).abs() < 1e-12,
-                                "{} ({scheme:?}): grad-path lp {ld} vs {lt}",
-                                entry.name
-                            );
-                            for (i, (x, y)) in g_dprog.iter().zip(&g_tape).enumerate() {
-                                let tol = 1e-10 * (1.0 + x.abs().max(y.abs()));
-                                assert!(
-                                    (x - y).abs() < tol,
-                                    "{} ({scheme:?}) grad[{i}]: dprog {x} vs tape {y}",
-                                    entry.name
-                                );
-                            }
-                        }
-                    }
-                    (Err(_), Err(_)) => {}
-                    (a, b) => panic!(
-                        "{} ({scheme:?}): gradient paths diverge: {a:?} vs {b:?}",
-                        entry.name
-                    ),
-                }
-            }
+            checked_points += assert_matches_tape(&model, &format!("{} ({scheme:?})", entry.name));
         }
+    }
+    // Loops whose body cannot roll into one loop op expand at bind time:
+    // every shape compiles and keeps the op kinds its body asks for. The
+    // sweep stays one batched kernel op per non-empty window, and the inner
+    // loop of the nested shape one rolled loop op per outer iteration.
+    for (label, source, data) in common::loop_expansion_shapes() {
+        let model =
+            bind(source, Scheme::Mixed, &data).unwrap_or_else(|| panic!("{label}: failed to bind"));
+        let p = model
+            .dprog()
+            .unwrap_or_else(|| panic!("{label} should compile: {:?}", model.dprog_decline()));
+        let ops = format!("{p:?}");
+        let want = match label {
+            "sweep with offset and ragged windows" => Some(("ScoreSweep { kind: Normal", 3)),
+            "nested loop with a rolled inner loop" => Some(("Loop {", 4)),
+            _ => None,
+        };
+        if let Some((op, n)) = want {
+            assert_eq!(ops.matches(op).count(), n, "{label}: {ops}");
+        }
+        checked_points += assert_matches_tape(&model, label);
     }
     assert!(
         compiled_models >= 15,
@@ -197,9 +225,68 @@ fn corpus_models_compile_or_decline_as_documented() {
     // Missing-stdlib CDF calls decline (the retained path owns the error).
     let err = status("censored_lccdf", Scheme::Mixed).unwrap_err();
     assert!(err.contains("lccdf"), "censored_lccdf: {err}");
-    // Nested parameter-dependent loops decline.
-    let err = status("radon_hierarchical", Scheme::Mixed).unwrap_err();
-    assert!(!err.is_empty());
+    // A sweep nested in a counted loop expands at bind time: one prior
+    // site and one sweep per group (J = 8), so the program grows with J.
+    let (ops, _) = status("radon_hierarchical", Scheme::Mixed).unwrap();
+    assert!(ops < 40, "radon_hierarchical: {ops} ops");
+}
+
+/// Bind-time expansion is bounded, since `serve` binds client source: a
+/// loop past the iteration bound declines before one iteration is lowered,
+/// rolled loops inside an expansion count against that bound too, and an
+/// expansion past the op or the register-and-table bound declines part way.
+/// Each keeps the tape path.
+#[test]
+fn over_budget_expansions_decline_and_keep_the_tape() {
+    let mut data: Env<f64> = Env::new();
+    data.insert("N".into(), Value::Int(4200));
+    data.insert(
+        "y".into(),
+        Value::Vector((0..4200).map(|i| (i % 7) as f64 * 0.1).collect()),
+    );
+    let cases = [
+        (
+            "for (j in 1:1000000000) { real m; m = mu * j; target += -m * m; }",
+            "past 65536 iterations",
+            false,
+        ),
+        (
+            "real acc; acc = 0; for (j in 1:300) { real m; m = mu * j; for (t in 1:300) acc = acc + m; } target += -acc * acc;",
+            "rolled inside an expanded loop",
+            true,
+        ),
+        (
+            "for (j in 1:40000) { real m; m = mu * j; target += -m * m; }",
+            "past 65536 ops",
+            true,
+        ),
+        (
+            "for (j in 1:1000) { real m; m = mu; y ~ normal(m, 1); }",
+            "register and table words",
+            false,
+        ),
+    ];
+    for (body, want, evaluate) in cases {
+        let src =
+            format!("data {{ int N; real y[N]; }} parameters {{ real mu; }} model {{ {body} }}");
+        let model = bind(&src, Scheme::Mixed, &data).unwrap();
+        assert!(model.dprog().is_none(), "{body}: should decline");
+        let reason = model.dprog_decline().unwrap().reason();
+        assert!(reason.contains(want), "{body}: {reason}");
+        if evaluate {
+            let mut ws_a = model.grad_workspace();
+            let mut ws_b = model.grad_workspace();
+            let (mut ga, mut gb) = (vec![0.0; 1], vec![0.0; 1]);
+            let la = model
+                .log_density_and_grad_with(&mut ws_a, &[0.4], &mut ga)
+                .unwrap();
+            let lb = model
+                .log_density_and_grad_tape_with(&mut ws_b, &[0.4], &mut gb)
+                .unwrap();
+            assert_eq!(la.to_bits(), lb.to_bits(), "{body}");
+            assert_eq!(ga[0].to_bits(), gb[0].to_bits(), "{body}");
+        }
+    }
 }
 
 /// User-defined function calls decline (they evaluate through the

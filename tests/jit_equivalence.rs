@@ -1,13 +1,15 @@
 //! Differential suite for the native x86_64 density-program backend
 //! (`gprob::dprog::jit`):
 //!
-//! * across the whole corpus and every scheme, models whose density program
-//!   JIT-compiles must produce **bitwise identical** values and gradients to
-//!   the interpreted DProg at every probe point — same IEEE operations in
-//!   the same order is the emitter's contract, not an approximation;
+//! * across the whole corpus and every scheme, and across the loop shapes
+//!   that expand at bind time, models whose density program JIT-compiles
+//!   must produce **bitwise identical** values and gradients to the
+//!   interpreted DProg at every probe point — same IEEE operations in the
+//!   same order is the emitter's contract, not an approximation;
 //! * the models the emitter claims to support must actually compile to
 //!   native code (both eight_schools variants, the kidscore family, arK,
-//!   the garch11 / arma11 recurrence loops, coin, nes_logit);
+//!   the garch11 / arma11 recurrence loops, coin, nes_logit, and
+//!   radon_hierarchical's loop expanded at bind time);
 //! * models whose density program declines keep the tape path bitwise, and
 //!   the JIT decline states a reason;
 //! * repeated evaluation never reallocates the executable page (the code
@@ -29,6 +31,8 @@ use gprob::GModel;
 use proptest::prelude::*;
 use stan2gprob::{compile, Scheme};
 use stan_frontend::parse_program;
+
+mod common;
 
 fn probe_points(dim: usize) -> Vec<Vec<f64>> {
     let seeds = [
@@ -78,8 +82,45 @@ fn assert_bits_eq(a: f64, b: f64, what: &std::fmt::Arguments) {
     );
 }
 
-/// Routed (JIT-first) vs pinned interpreted DProg across the corpus:
-/// values and gradients bitwise.
+/// Routed (JIT-first) vs pinned interpreted DProg at the probe points:
+/// values and gradients bitwise (NaN pairs agree whatever their payload).
+/// Returns the number of points whose gradients were checked.
+fn assert_jit_matches_interpreter(model: &GModel, label: &str) -> usize {
+    let mut checked_points = 0;
+    let dim = model.dim();
+    let mut ws_jit = model.grad_workspace();
+    let mut ws_int = model.grad_workspace();
+    let mut wsv_jit = model.workspace::<f64>();
+    let mut wsv_int = model.workspace::<f64>();
+    let mut g_jit = vec![0.0; dim];
+    let mut g_int = vec![0.0; dim];
+    for theta in probe_points(dim) {
+        let va = model.log_density_f64_with(&mut wsv_jit, &theta);
+        let vb = model.log_density_f64_dprog_with(&mut wsv_int, &theta);
+        match (va, vb) {
+            (Ok(a), Ok(b)) => assert_bits_eq(a, b, &format_args!("{label} value at {theta:?}")),
+            (Err(_), Err(_)) => {}
+            (a, b) => panic!("{label}: value paths diverge: {a:?} vs {b:?}"),
+        }
+        let la = model.log_density_and_grad_with(&mut ws_jit, &theta, &mut g_jit);
+        let lb = model.log_density_and_grad_dprog_with(&mut ws_int, &theta, &mut g_int);
+        match (la, lb) {
+            (Ok(a), Ok(b)) => {
+                assert_bits_eq(a, b, &format_args!("{label} grad-lp at {theta:?}"));
+                for (i, (x, y)) in g_jit.iter().zip(&g_int).enumerate() {
+                    assert_bits_eq(*x, *y, &format_args!("{label} grad[{i}] at {theta:?}"));
+                }
+                checked_points += 1;
+            }
+            (Err(_), Err(_)) => {}
+            (a, b) => panic!("{label}: gradient paths diverge: {a:?} vs {b:?}"),
+        }
+    }
+    checked_points
+}
+
+/// Routed (JIT-first) vs pinned interpreted DProg across the corpus and the
+/// loop shapes that expand at bind time: values and gradients bitwise.
 #[test]
 fn jit_densities_and_gradients_match_the_interpreter_bitwise() {
     let expect_jit = jit_expected();
@@ -122,54 +163,22 @@ fn jit_densities_and_gradients_match_the_interpreter_bitwise() {
                     }
                 }
             }
-            let dim = model.dim();
-            let mut ws_jit = model.grad_workspace();
-            let mut ws_int = model.grad_workspace();
-            let mut wsv_jit = model.workspace::<f64>();
-            let mut wsv_int = model.workspace::<f64>();
-            let mut g_jit = vec![0.0; dim];
-            let mut g_int = vec![0.0; dim];
-            for theta in probe_points(dim) {
-                let va = model.log_density_f64_with(&mut wsv_jit, &theta);
-                let vb = model.log_density_f64_dprog_with(&mut wsv_int, &theta);
-                match (va, vb) {
-                    (Ok(a), Ok(b)) => assert_bits_eq(
-                        a,
-                        b,
-                        &format_args!("{} ({scheme:?}) value at {theta:?}", entry.name),
-                    ),
-                    (Err(_), Err(_)) => {}
-                    (a, b) => panic!(
-                        "{} ({scheme:?}): value paths diverge: {a:?} vs {b:?}",
-                        entry.name
-                    ),
-                }
-                let la = model.log_density_and_grad_with(&mut ws_jit, &theta, &mut g_jit);
-                let lb = model.log_density_and_grad_dprog_with(&mut ws_int, &theta, &mut g_int);
-                match (la, lb) {
-                    (Ok(a), Ok(b)) => {
-                        assert_bits_eq(
-                            a,
-                            b,
-                            &format_args!("{} ({scheme:?}) grad-lp at {theta:?}", entry.name),
-                        );
-                        for (i, (x, y)) in g_jit.iter().zip(&g_int).enumerate() {
-                            assert_bits_eq(
-                                *x,
-                                *y,
-                                &format_args!("{} ({scheme:?}) grad[{i}] at {theta:?}", entry.name),
-                            );
-                        }
-                        checked_points += 1;
-                    }
-                    (Err(_), Err(_)) => {}
-                    (a, b) => panic!(
-                        "{} ({scheme:?}): gradient paths diverge: {a:?} vs {b:?}",
-                        entry.name
-                    ),
-                }
-            }
+            checked_points +=
+                assert_jit_matches_interpreter(&model, &format!("{} ({scheme:?})", entry.name));
         }
+    }
+    // Loops expanded at bind time compile to native code like any
+    // straight-line program.
+    for (label, source, data) in common::loop_expansion_shapes() {
+        let model =
+            bind(source, Scheme::Mixed, &data).unwrap_or_else(|| panic!("{label}: failed to bind"));
+        assert!(model.dprog().is_some(), "{label}: no density program");
+        assert_eq!(model.jit().is_some(), expect_jit, "{label}: jit");
+        assert_eq!(
+            assert_jit_matches_interpreter(&model, label),
+            probe_points(model.dim()).len(),
+            "{label}: a probe point errored"
+        );
     }
     if expect_jit {
         assert!(
@@ -205,6 +214,7 @@ fn supported_corpus_models_compile_to_native_code() {
         "seeds_binomial",
         "mesquite",
         "blr",
+        "radon_hierarchical",
     ] {
         let entry = model_zoo::find(name).unwrap();
         let data = env_of(&entry.dataset(3));
@@ -293,28 +303,6 @@ fn repeated_evaluation_never_reallocates_the_code_page() {
     }
 }
 
-/// Routed (JIT-first) vs pinned interpreted gradients at the probe points,
-/// bitwise (NaN pairs agree whatever their payload).
-fn assert_routed_grad_matches(model: &GModel, label: &str) {
-    let dim = model.dim();
-    let mut ws_jit = model.grad_workspace();
-    let mut ws_int = model.grad_workspace();
-    let mut g_jit = vec![0.0; dim];
-    let mut g_int = vec![0.0; dim];
-    for theta in probe_points(dim) {
-        let a = model
-            .log_density_and_grad_with(&mut ws_jit, &theta, &mut g_jit)
-            .unwrap();
-        let b = model
-            .log_density_and_grad_dprog_with(&mut ws_int, &theta, &mut g_int)
-            .unwrap();
-        assert_bits_eq(a, b, &format_args!("{label} lp at {theta:?}"));
-        for (i, (x, y)) in g_jit.iter().zip(&g_int).enumerate() {
-            assert_bits_eq(*x, *y, &format_args!("{label} grad[{i}] at {theta:?}"));
-        }
-    }
-}
-
 /// The reverse pass keeps repeatedly bumped adjoints in registers
 /// (xmm8..xmm15, at most 8 per region). Each body below aims one region at
 /// an edge of that cache; every one must stay bitwise equal to the
@@ -393,7 +381,11 @@ fn adjoint_register_cache_regions_match_the_interpreter_bitwise() {
             bind(&src, Scheme::Mixed, &data).unwrap_or_else(|| panic!("{label}: failed to bind"));
         assert!(model.dprog().is_some(), "{label}: no density program");
         assert_eq!(model.jit().is_some(), jit_expected(), "{label}: jit");
-        assert_routed_grad_matches(&model, label);
+        assert_eq!(
+            assert_jit_matches_interpreter(&model, label),
+            probe_points(model.dim()).len(),
+            "{label}: a probe point errored"
+        );
     }
 }
 

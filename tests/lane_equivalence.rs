@@ -1,7 +1,8 @@
 //! Differential suite for the struct-of-arrays lane evaluator of the
 //! tape-free density programs (`gprob::dprog`):
 //!
-//! * across the whole corpus and every scheme, batched multi-lane evaluation
+//! * across the whole corpus and every scheme, and across the loop shapes
+//!   that expand at bind time, batched multi-lane evaluation
 //!   (`GModel::log_density_and_grad_batch_with`) must be *bitwise* identical
 //!   per point to single-lane evaluation, at batch sizes covering every lane
 //!   width (2, 4, 8) and ragged remainders (3 = 2+1, 5 = 4+1, 11 = 8+2+1);
@@ -22,6 +23,8 @@ use gprob::GModel;
 use proptest::prelude::*;
 use stan2gprob::{compile, Scheme};
 use stan_frontend::parse_program;
+
+mod common;
 
 fn env_of(data: &[(String, Value<f64>)]) -> Env<f64> {
     data.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
@@ -47,7 +50,74 @@ fn batch_points(n: usize, dim: usize) -> Vec<f64> {
 }
 
 /// Batched lane evaluation vs single-lane DProg (bitwise) vs tape oracle
-/// (tolerance) across the corpus, at every lane width and ragged remainder.
+/// (values to 1e-12, gradients to 1e-10), at every lane width and ragged
+/// remainder. Returns the number of points checked.
+fn assert_lanes_match(model: &GModel, label: &str) -> usize {
+    let mut checked_points = 0;
+    let dim = model.dim();
+    let mut ws_batch = model.grad_workspace();
+    let mut ws_single = model.grad_workspace();
+    let mut ws_tape = model.grad_workspace();
+    for n in [2usize, 3, 4, 5, 8, 11] {
+        let thetas = batch_points(n, dim);
+        let mut values = vec![0.0; n];
+        let mut grads = vec![0.0; n * dim];
+        model
+            .log_density_and_grad_batch_with(&mut ws_batch, &thetas, &mut values, &mut grads)
+            .unwrap_or_else(|e| panic!("{label}: batch failed: {e:?}"));
+        let mut g_single = vec![0.0; dim];
+        let mut g_tape = vec![0.0; dim];
+        for j in 0..n {
+            let theta = &thetas[j * dim..(j + 1) * dim];
+            // Bitwise identity against the single-lane DProg entry.
+            let lp_single = model
+                .log_density_and_grad_with(&mut ws_single, theta, &mut g_single)
+                .unwrap();
+            assert_eq!(
+                values[j].to_bits(),
+                lp_single.to_bits(),
+                "{label} n={n} point {j}: batch lp {} vs single {}",
+                values[j],
+                lp_single
+            );
+            for i in 0..dim {
+                assert_eq!(
+                    grads[j * dim + i].to_bits(),
+                    g_single[i].to_bits(),
+                    "{label} n={n} point {j} grad[{i}]: batch {} vs single {}",
+                    grads[j * dim + i],
+                    g_single[i]
+                );
+            }
+            // Tolerance against the tape differential oracle.
+            let lp_tape = model
+                .log_density_and_grad_tape_with(&mut ws_tape, theta, &mut g_tape)
+                .unwrap();
+            if values[j].is_finite() || lp_tape.is_finite() {
+                assert!(
+                    (values[j] - lp_tape).abs() < 1e-12,
+                    "{label} n={n} point {j}: batch lp {} vs tape {}",
+                    values[j],
+                    lp_tape
+                );
+                for i in 0..dim {
+                    let (x, y) = (grads[j * dim + i], g_tape[i]);
+                    let tol = 1e-10 * (1.0 + x.abs().max(y.abs()));
+                    assert!(
+                        (x - y).abs() < tol,
+                        "{label} n={n} point {j} grad[{i}]: batch {x} vs tape {y}"
+                    );
+                }
+            }
+            checked_points += 1;
+        }
+    }
+    checked_points
+}
+
+/// Batched lane evaluation vs single-lane DProg (bitwise) vs tape oracle
+/// (tolerance) across the corpus and the loop shapes that expand at bind
+/// time, at every lane width and ragged remainder.
 #[test]
 fn lane_batches_match_single_lane_bitwise_and_the_tape_oracle() {
     let mut compiled_models = 0;
@@ -65,74 +135,15 @@ fn lane_batches_match_single_lane_bitwise_and_the_tape_oracle() {
                 continue;
             }
             compiled_models += 1;
-            let dim = model.dim();
-            let mut ws_batch = model.grad_workspace();
-            let mut ws_single = model.grad_workspace();
-            let mut ws_tape = model.grad_workspace();
-            for n in [2usize, 3, 4, 5, 8, 11] {
-                let thetas = batch_points(n, dim);
-                let mut values = vec![0.0; n];
-                let mut grads = vec![0.0; n * dim];
-                model
-                    .log_density_and_grad_batch_with(
-                        &mut ws_batch,
-                        &thetas,
-                        &mut values,
-                        &mut grads,
-                    )
-                    .unwrap_or_else(|e| panic!("{} ({scheme:?}): batch failed: {e:?}", entry.name));
-                let mut g_single = vec![0.0; dim];
-                let mut g_tape = vec![0.0; dim];
-                for j in 0..n {
-                    let theta = &thetas[j * dim..(j + 1) * dim];
-                    // Bitwise identity against the single-lane DProg entry.
-                    let lp_single = model
-                        .log_density_and_grad_with(&mut ws_single, theta, &mut g_single)
-                        .unwrap();
-                    assert_eq!(
-                        values[j].to_bits(),
-                        lp_single.to_bits(),
-                        "{} ({scheme:?}) n={n} point {j}: batch lp {} vs single {}",
-                        entry.name,
-                        values[j],
-                        lp_single
-                    );
-                    for i in 0..dim {
-                        assert_eq!(
-                            grads[j * dim + i].to_bits(),
-                            g_single[i].to_bits(),
-                            "{} ({scheme:?}) n={n} point {j} grad[{i}]: batch {} vs single {}",
-                            entry.name,
-                            grads[j * dim + i],
-                            g_single[i]
-                        );
-                    }
-                    // Tolerance against the tape differential oracle.
-                    let lp_tape = model
-                        .log_density_and_grad_tape_with(&mut ws_tape, theta, &mut g_tape)
-                        .unwrap();
-                    if values[j].is_finite() || lp_tape.is_finite() {
-                        assert!(
-                            (values[j] - lp_tape).abs() < 1e-12,
-                            "{} ({scheme:?}) n={n} point {j}: batch lp {} vs tape {}",
-                            entry.name,
-                            values[j],
-                            lp_tape
-                        );
-                        for i in 0..dim {
-                            let (x, y) = (grads[j * dim + i], g_tape[i]);
-                            let tol = 1e-10 * (1.0 + x.abs().max(y.abs()));
-                            assert!(
-                                (x - y).abs() < tol,
-                                "{} ({scheme:?}) n={n} point {j} grad[{i}]: batch {x} vs tape {y}",
-                                entry.name
-                            );
-                        }
-                    }
-                    checked_points += 1;
-                }
-            }
+            checked_points += assert_lanes_match(&model, &format!("{} ({scheme:?})", entry.name));
         }
+    }
+    // Loops expanded at bind time batch like any straight-line program.
+    for (label, source, data) in common::loop_expansion_shapes() {
+        let model =
+            bind(source, Scheme::Mixed, &data).unwrap_or_else(|| panic!("{label}: failed to bind"));
+        assert!(model.dprog().is_some(), "{label}: no density program");
+        checked_points += assert_lanes_match(&model, label);
     }
     assert!(
         compiled_models >= 15,
@@ -230,7 +241,8 @@ fn lane_register_pools_never_reallocate_across_same_shape_evals() {
 /// gradient-evaluation count and divergences are bitwise identical, and
 /// chain `c` equals the single chain of a run seeded `seed + c`. The
 /// observer always runs on the calling thread, and with one thread it sees
-/// the chains in index order. radon_hierarchical covers the tape path.
+/// the chains in index order. A model calling a user-defined function
+/// covers the tape path.
 #[test]
 fn session_chains_are_bitwise_independent_of_thread_placement() {
     let settings = NutsSettings {
@@ -238,18 +250,35 @@ fn session_chains_are_bitwise_independent_of_thread_placement() {
         samples: 80,
         ..Default::default()
     };
-    for name in [
+    let user_fn = r#"
+        functions { real f(real x) { return x * 2; } }
+        data { int N; real y[N]; }
+        parameters { real mu; real<lower=0> sigma; }
+        model { mu ~ normal(0, 2); sigma ~ lognormal(0, 1); y ~ normal(f(mu), sigma); }
+    "#;
+    let user_fn_data = vec![
+        ("N".to_string(), Value::Int(4)),
+        ("y".to_string(), Value::Vector(vec![0.3, -0.2, 1.1, 0.6])),
+    ];
+    let tape_model = bind(user_fn, Scheme::Mixed, &env_of(&user_fn_data)).unwrap();
+    assert!(tape_model.dprog().is_none(), "user functions must decline");
+    let mut cases: Vec<_> = [
         "coin",
         "kidscore_momhs",
         "eight_schools_noncentered",
         "garch11",
-        "radon_hierarchical",
-    ] {
+    ]
+    .into_iter()
+    .map(|name| {
         let entry = model_zoo::find(name).unwrap();
-        let data = entry.dataset(0);
+        (entry.name, entry.source, entry.dataset(0))
+    })
+    .collect();
+    cases.push(("user_function", user_fn, user_fn_data));
+    for (name, source, data) in cases {
         let data_refs: Vec<(&str, Value<f64>)> =
             data.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-        let program = DeepStan::compile_named(entry.name, entry.source).unwrap();
+        let program = DeepStan::compile_named(name, source).unwrap();
         let caller = std::thread::current().id();
         let run = |threads: Option<usize>| {
             let mut session = program.session(&data_refs).unwrap().chains(3).seed(42);

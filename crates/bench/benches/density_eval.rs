@@ -38,6 +38,11 @@
 //! ADVI fit through `advi_fit_batch` (all K Monte-Carlo guide draws per step
 //! in one multi-lane pass) vs the same entry over a target that keeps the
 //! trait's per-draw `logp_grad_batch` loop.
+//!
+//! The `kidscore_momhs_n1280` and `garch11_n1280` rows run the single-point
+//! gradient rows on those models' data replicated to N = 1280: the JIT's
+//! loops are rolled, so its code (and its per-element cost) should not move
+//! with N.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -47,6 +52,7 @@ use deepstan::DeepStan;
 use gprob::eval::NoExternals;
 use gprob::value::Value;
 use minidiff::{grad, tape, Var};
+use model_zoo::data::DataSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stan2gprob::Scheme;
@@ -266,38 +272,53 @@ fn bench_density(c: &mut Criterion) {
         "radon_hierarchical",
     ] {
         let entry = model_zoo::find(name).unwrap();
-        let program = DeepStan::compile_named(name, entry.source).unwrap();
-        let data = entry.dataset(5);
-        let data_refs: Vec<(&str, Value<f64>)> =
-            data.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-        let gmodel = program.bind(&data_refs).unwrap();
-        let theta = vec![0.1; gmodel.dim()];
-        assert!(
-            gmodel.dprog().is_some(),
-            "{name}: expected a compiled density program"
-        );
-        group.bench_function(format!("{name}/gprob_grad_dprog"), |b| {
+        grad_rows(&mut group, name, entry.source, entry.dataset(5));
+    }
+    // Data-scaled rows: kidscore_momhs (span ops) and garch11 (a rolled
+    // recurrence) with their data replicated to N = 1280. The JIT's loops
+    // are rolled, so these bind the same native code as at corpus N; a JIT
+    // whose code grew with the data would slow down or decline here.
+    for name in ["kidscore_momhs", "garch11"] {
+        let entry = model_zoo::find(name).unwrap();
+        let data = model_zoo::data::replicated(&entry.dataset(5), 1280);
+        grad_rows(&mut group, &format!("{name}_n1280"), entry.source, data);
+    }
+    group.finish();
+}
+
+/// Single-point gradient rows of one model: interpreted
+/// (`gprob_grad_dprog`) and routed (`gprob_grad_dprog_jit`, when the JIT
+/// compiles it).
+fn grad_rows(group: &mut criterion::BenchmarkGroup, label: &str, source: &str, data: DataSet) {
+    let program = DeepStan::compile_named(label, source).unwrap();
+    let data_refs: Vec<(&str, Value<f64>)> =
+        data.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+    let gmodel = program.bind(&data_refs).unwrap();
+    let theta = vec![0.1; gmodel.dim()];
+    assert!(
+        gmodel.dprog().is_some(),
+        "{label}: expected a compiled density program"
+    );
+    group.bench_function(format!("{label}/gprob_grad_dprog"), |b| {
+        let mut ws = gmodel.grad_workspace();
+        let mut g = vec![0.0; gmodel.dim()];
+        b.iter(|| {
+            gmodel
+                .log_density_and_grad_dprog_with(&mut ws, std::hint::black_box(&theta), &mut g)
+                .unwrap()
+        })
+    });
+    if gmodel.jit().is_some() {
+        group.bench_function(format!("{label}/gprob_grad_dprog_jit"), |b| {
             let mut ws = gmodel.grad_workspace();
             let mut g = vec![0.0; gmodel.dim()];
             b.iter(|| {
                 gmodel
-                    .log_density_and_grad_dprog_with(&mut ws, std::hint::black_box(&theta), &mut g)
+                    .log_density_and_grad_with(&mut ws, std::hint::black_box(&theta), &mut g)
                     .unwrap()
             })
         });
-        if gmodel.jit().is_some() {
-            group.bench_function(format!("{name}/gprob_grad_dprog_jit"), |b| {
-                let mut ws = gmodel.grad_workspace();
-                let mut g = vec![0.0; gmodel.dim()];
-                b.iter(|| {
-                    gmodel
-                        .log_density_and_grad_with(&mut ws, std::hint::black_box(&theta), &mut g)
-                        .unwrap()
-                })
-            });
-        }
     }
-    group.finish();
 }
 
 /// Minimal inference target over a bound [`gprob::GModel`] for the ADVI step

@@ -108,7 +108,7 @@
 //! * shapes whose *runtime* path would raise an error (out-of-bounds
 //!   windows, arity mismatches): declining keeps the error byte-identical
 //!   on the retained path;
-//! * counted loops past the expansion budget (below).
+//! * counted loops past the expansion or the rolled-loop budget (below).
 //!
 //! Everything the corpus' hot models need compiles: scalar and vector
 //! parameters, vectorized `~` statements, lowered observe sweeps (kept as
@@ -126,12 +126,16 @@
 //! the loop then *expands* at bind time: each iteration binds the counter as
 //! a known int and lowers the body as straight-line code, so an inner sweep
 //! stays one batch-kernel op per iteration and an inner loop that rolls
-//! stays a rolled `Loop`. The JIT unrolls every loop anyway, so both forms
-//! reach the same machine code. Expansion is bounded (`serve` binds client
-//! source): at most `MAX_EXPAND_TRIPS` iterations lowered inside
-//! expansions, counted before each loop, and at most `MAX_EXPAND_OPS` ops
-//! and `MAX_EXPAND_WORDS` register and table words, checked after each
-//! iteration. Past a bound the loop declines and the model keeps the tape.
+//! stays a rolled `Loop`. The JIT emits a rolled `Loop` as one native loop
+//! and an expansion as straight-line copies of its body, so a rolled loop
+//! costs its body's code once and an expanded one once per iteration.
+//! Expansion is bounded (`serve` binds client source): at most
+//! `MAX_EXPAND_TRIPS` iterations lowered inside expansions, counted before
+//! each loop, and at most `MAX_EXPAND_OPS` ops and `MAX_EXPAND_WORDS`
+//! register and table words, checked after each iteration. A rolled loop is
+//! bounded too: it holds registers and tables per iteration, and those
+//! words are charged against `MAX_LOOP_WORDS` before they are allocated.
+//! Past a bound the loop declines and the model keeps the tape.
 
 use std::collections::HashMap;
 
@@ -1971,6 +1975,9 @@ struct Compiler<'a> {
     expanded_trips: u64,
     /// Depth of the loop expansions being lowered (0 outside any).
     expand_depth: u32,
+    /// Per-iteration register and table words charged by rolled loops so
+    /// far (see [`MAX_LOOP_WORDS`]).
+    loop_words: u64,
 }
 
 /// Budget of bind-time loop expansion (`Compiler::expand_loop`), beside the
@@ -1990,6 +1997,14 @@ const MAX_EXPAND_OPS: usize = 1 << 16;
 /// after every expanded iteration: an iteration's ops may carry data tables
 /// or a rolled loop's register chain, which the op count does not see.
 const MAX_EXPAND_WORDS: usize = 1 << 22;
+/// Per-iteration words of rolled loops, over the whole program: a rolled
+/// loop holds `trip` registers per body value, `writes · trip + 1` per
+/// loop-carried scalar and `trip` table entries per data-and-counter value.
+/// Each is charged, in `u64`, before it is allocated, so a loop like
+/// `for (i in 1:N) acc = acc + mu;` at a hostile `N` declines instead of
+/// sizing the register file (and every lane file) by `N` or overflowing
+/// the `u32` register index.
+const MAX_LOOP_WORDS: u64 = 1 << 22;
 
 /// Whether a sweep could not compile directly but its retained fallback
 /// loop should be compiled instead (shapes where the runtime would also
@@ -2040,6 +2055,18 @@ impl<'a> Compiler<'a> {
         base
     }
 
+    /// Charges `n` per-iteration words of a rolled loop before they are
+    /// allocated ([`MAX_LOOP_WORDS`]).
+    fn charge_loop_words(&mut self, n: u64) -> Result<(), Decline> {
+        self.loop_words = self.loop_words.saturating_add(n);
+        if self.loop_words > MAX_LOOP_WORDS {
+            return Err(decline(format!(
+                "rolled loops past {MAX_LOOP_WORDS} per-iteration register and table words"
+            )));
+        }
+        Ok(())
+    }
+
     fn emit(&mut self, op: Op) {
         match &mut self.lc {
             Some(lc) => lc.ops.push(op),
@@ -2053,17 +2080,18 @@ impl<'a> Compiler<'a> {
 
     /// A fresh destination register: a single register at top level, a span
     /// of `trip` stride-1 registers inside a loop body.
-    fn fresh_dst(&mut self) -> Reg {
-        match &self.lc {
+    fn fresh_dst(&mut self) -> Result<Reg, Decline> {
+        Ok(match &self.lc {
             Some(lc) => {
                 let trip = lc.trip;
+                self.charge_loop_words(u64::from(trip))?;
                 Reg {
                     base: self.alloc(trip),
                     stride: 1,
                 }
             }
             None => Reg::abs(self.alloc(1)),
-        }
+        })
     }
 
     fn table_f(&mut self, v: Vec<f64>) -> u32 {
@@ -2221,10 +2249,10 @@ impl<'a> Compiler<'a> {
     }
 
     /// Emits `f` element-wise (or scalar) over one operand.
-    fn map1(&mut self, f: UF, a: CV1) -> CV1 {
-        match a {
+    fn map1(&mut self, f: UF, a: CV1) -> Result<CV1, Decline> {
+        Ok(match a {
             CV1::S(a) => {
-                let dst = self.fresh_dst();
+                let dst = self.fresh_dst()?;
                 self.emit(Op::Un { f, dst, a });
                 CV1::S(A::Reg(dst))
             }
@@ -2233,7 +2261,7 @@ impl<'a> Compiler<'a> {
                 self.emit(Op::VUn { f, dst, a, len });
                 CV1::V(VA::Span(dst), len)
             }
-        }
+        })
     }
 
     /// Compiles a top-level expression (no enclosing loop).
@@ -2256,7 +2284,7 @@ impl<'a> Compiler<'a> {
                     UnOp::Plus => Ok(v),
                     UnOp::Neg => {
                         let v = self.cv1(v)?;
-                        let r = self.map1(UF::R(UnFn::Neg), v);
+                        let r = self.map1(UF::R(UnFn::Neg), v)?;
                         Ok(self.cval_of(r))
                     }
                     UnOp::Not => Err(decline("logical not of a parameter-dependent value")),
@@ -2389,7 +2417,7 @@ impl<'a> Compiler<'a> {
                 } else {
                     UF::R(UnFn::Powf(p))
                 };
-                let r = self.map1(f, ca);
+                let r = self.map1(f, ca)?;
                 return Ok(self.cval_of(r));
             }
             _ => unreachable!(),
@@ -2467,7 +2495,7 @@ impl<'a> Compiler<'a> {
         };
         match (a, b) {
             (CV1::S(a), CV1::S(b)) => {
-                let dst = self.fresh_dst();
+                let dst = self.fresh_dst()?;
                 self.emit(Op::Bin { f, dst, a, b });
                 Ok(CV1::S(A::Reg(dst)))
             }
@@ -2512,7 +2540,7 @@ impl<'a> Compiler<'a> {
                 .collect::<Result<_, _>>()?;
             return match self.site_operands(kind, x, dargs)? {
                 Site::Elem { x, args, k } => {
-                    let dst = self.fresh_dst();
+                    let dst = self.fresh_dst()?;
                     self.emit(Op::ScoreVal {
                         kind,
                         dst,
@@ -2719,8 +2747,8 @@ impl<'a> Compiler<'a> {
                             CV1::S(A::Const(f64::NEG_INFINITY)),
                         )?;
                         let d = self.map2(BinF::Sub, CV1::S(a), m)?;
-                        let e = self.map1(UF::R(UnFn::Exp), d);
-                        let l = self.map1(UF::R(UnFn::Ln), e);
+                        let e = self.map1(UF::R(UnFn::Exp), d)?;
+                        let l = self.map1(UF::R(UnFn::Ln), e)?;
                         let r = self.map2(BinF::Add, m, l)?;
                         Ok(self.cval_of(r))
                     }
@@ -2729,11 +2757,11 @@ impl<'a> Compiler<'a> {
                         self.emit(Op::MaxVal { dst: m, a, len });
                         let mm = CV1::S(A::Reg(Reg::abs(m)));
                         let d = self.map2(BinF::Sub, CV1::V(a, len), mm)?;
-                        let e = self.map1(UF::R(UnFn::Exp), d);
+                        let e = self.map1(UF::R(UnFn::Exp), d)?;
                         let CV1::V(ea, _) = e else { unreachable!() };
                         let s = self.alloc(1);
                         self.emit(Op::Sum { dst: s, a: ea, len });
-                        let l = self.map1(UF::R(UnFn::Ln), CV1::S(A::Reg(Reg::abs(s))));
+                        let l = self.map1(UF::R(UnFn::Ln), CV1::S(A::Reg(Reg::abs(s))))?;
                         let r = self.map2(BinF::Add, mm, l)?;
                         Ok(self.cval_of(r))
                     }
@@ -2748,14 +2776,14 @@ impl<'a> Compiler<'a> {
                 // m + ln(theta·e^{a-m} + (1-theta)·e^{b-m}).
                 let m = self.map2(BinF::ZeroMaxVal, CV1::S(a), CV1::S(b))?;
                 let da = self.map2(BinF::Sub, CV1::S(a), m)?;
-                let ea = self.map1(UF::R(UnFn::Exp), da);
+                let ea = self.map1(UF::R(UnFn::Exp), da)?;
                 let t1 = self.map2(BinF::Mul, CV1::S(theta), ea)?;
                 let onem = self.map2(BinF::Sub, CV1::S(A::Const(1.0)), CV1::S(theta))?;
                 let db = self.map2(BinF::Sub, CV1::S(b), m)?;
-                let eb = self.map1(UF::R(UnFn::Exp), db);
+                let eb = self.map1(UF::R(UnFn::Exp), db)?;
                 let t2 = self.map2(BinF::Mul, onem, eb)?;
                 let s = self.map2(BinF::Add, t1, t2)?;
-                let l = self.map1(UF::R(UnFn::Ln), s);
+                let l = self.map1(UF::R(UnFn::Ln), s)?;
                 let r = self.map2(BinF::Add, m, l)?;
                 Ok(self.cval_of(r))
             }
@@ -2771,7 +2799,7 @@ impl<'a> Compiler<'a> {
                 } else {
                     UF::R(UnFn::Powf(p))
                 };
-                let r = self.map1(f, CV1::S(x));
+                let r = self.map1(f, CV1::S(x))?;
                 Ok(self.cval_of(r))
             }
             "fmax" | "fmin" => {
@@ -2798,7 +2826,7 @@ impl<'a> Compiler<'a> {
                 let aa = self.map2(BinF::Mul, CV1::S(a), CV1::S(a))?;
                 let bb = self.map2(BinF::Mul, CV1::S(b), CV1::S(b))?;
                 let s = self.map2(BinF::Add, aa, bb)?;
-                let r = self.map1(UF::R(UnFn::Sqrt), s);
+                let r = self.map1(UF::R(UnFn::Sqrt), s)?;
                 Ok(self.cval_of(r))
             }
             "atan2" => {
@@ -2871,53 +2899,53 @@ impl<'a> Compiler<'a> {
         let r = |f: UnFn| UF::R(f);
         let c = self;
         Ok(Some(match name {
-            "log" => c.map1(r(UnFn::Ln), v),
-            "log1p" => c.map1(r(UnFn::Ln1p), v),
+            "log" => c.map1(r(UnFn::Ln), v)?,
+            "log1p" => c.map1(r(UnFn::Ln1p), v)?,
             "log1m" => {
                 let t = c.map2(BinF::Sub, CV1::S(A::Const(1.0)), v)?;
-                c.map1(r(UnFn::Ln), t)
+                c.map1(r(UnFn::Ln), t)?
             }
-            "log1p_exp" => c.map1(r(UnFn::Softplus), v),
-            "exp" => c.map1(r(UnFn::Exp), v),
+            "log1p_exp" => c.map1(r(UnFn::Softplus), v)?,
+            "exp" => c.map1(r(UnFn::Exp), v)?,
             "expm1" => {
-                let t = c.map1(r(UnFn::Exp), v);
+                let t = c.map1(r(UnFn::Exp), v)?;
                 c.map2(BinF::Sub, t, CV1::S(A::Const(1.0)))?
             }
-            "sqrt" => c.map1(r(UnFn::Sqrt), v),
+            "sqrt" => c.map1(r(UnFn::Sqrt), v)?,
             "square" => c.map2(BinF::Mul, v, v)?,
             "inv" => c.map2(BinF::Div, CV1::S(A::Const(1.0)), v)?,
             "inv_sqrt" => {
-                let t = c.map1(r(UnFn::Sqrt), v);
+                let t = c.map1(r(UnFn::Sqrt), v)?;
                 c.map2(BinF::Div, CV1::S(A::Const(1.0)), t)?
             }
-            "inv_logit" => c.map1(r(UnFn::Sigmoid), v),
+            "inv_logit" => c.map1(r(UnFn::Sigmoid), v)?,
             "logit" => {
                 let d = c.map2(BinF::Sub, CV1::S(A::Const(1.0)), v)?;
                 let t = c.map2(BinF::Div, v, d)?;
-                c.map1(r(UnFn::Ln), t)
+                c.map1(r(UnFn::Ln), t)?
             }
-            "fabs" | "abs" => c.map1(r(UnFn::Abs), v),
-            "floor" => c.map1(UF::Floor, v),
-            "ceil" => c.map1(UF::Ceil, v),
-            "round" => c.map1(UF::Round, v),
-            "step" => c.map1(UF::Step, v),
-            "sin" => c.map1(r(UnFn::Sin), v),
-            "cos" => c.map1(r(UnFn::Cos), v),
+            "fabs" | "abs" => c.map1(r(UnFn::Abs), v)?,
+            "floor" => c.map1(UF::Floor, v)?,
+            "ceil" => c.map1(UF::Ceil, v)?,
+            "round" => c.map1(UF::Round, v)?,
+            "step" => c.map1(UF::Step, v)?,
+            "sin" => c.map1(r(UnFn::Sin), v)?,
+            "cos" => c.map1(r(UnFn::Cos), v)?,
             "tan" => {
-                let s = c.map1(r(UnFn::Sin), v);
-                let co = c.map1(r(UnFn::Cos), v);
+                let s = c.map1(r(UnFn::Sin), v)?;
+                let co = c.map1(r(UnFn::Cos), v)?;
                 c.map2(BinF::Div, s, co)?
             }
-            "tanh" => c.map1(r(UnFn::Tanh), v),
-            "atan" => c.map1(UF::Atan, v),
-            "lgamma" => c.map1(r(UnFn::Lgamma), v),
+            "tanh" => c.map1(r(UnFn::Tanh), v)?,
+            "atan" => c.map1(UF::Atan, v)?,
+            "lgamma" => c.map1(r(UnFn::Lgamma), v)?,
             "tgamma" => {
-                let t = c.map1(r(UnFn::Lgamma), v);
-                c.map1(r(UnFn::Exp), t)
+                let t = c.map1(r(UnFn::Lgamma), v)?;
+                c.map1(r(UnFn::Exp), t)?
             }
-            "digamma" => c.map1(UF::Digamma, v),
-            "erf" => c.map1(UF::Erf, v),
-            "Phi" | "Phi_approx" | "std_normal_cdf" => c.map1(UF::NormCdf, v),
+            "digamma" => c.map1(UF::Digamma, v)?,
+            "erf" => c.map1(UF::Erf, v)?,
+            "Phi" | "Phi_approx" | "std_normal_cdf" => c.map1(UF::NormCdf, v)?,
             _ => return Ok(None),
         }))
     }
@@ -2937,11 +2965,11 @@ impl<'a> Compiler<'a> {
         // m + ln(e^{a-m} + e^{b-m}), summed in element order.
         let m = self.map2(BinF::ZeroMaxVal, CV1::S(a), CV1::S(b))?;
         let da = self.map2(BinF::Sub, CV1::S(a), m)?;
-        let ea = self.map1(UF::R(UnFn::Exp), da);
+        let ea = self.map1(UF::R(UnFn::Exp), da)?;
         let db = self.map2(BinF::Sub, CV1::S(b), m)?;
-        let eb = self.map1(UF::R(UnFn::Exp), db);
+        let eb = self.map1(UF::R(UnFn::Exp), db)?;
         let s = self.map2(BinF::Add, ea, eb)?;
-        let l = self.map1(UF::R(UnFn::Ln), s);
+        let l = self.map1(UF::R(UnFn::Ln), s)?;
         let r = self.map2(BinF::Add, m, l)?;
         Ok(self.cval_of(r))
     }
@@ -3733,6 +3761,15 @@ impl<'a> Compiler<'a> {
         Ok(())
     }
 
+    /// The register chain of a loop-carried scalar written `nwrites` times
+    /// per iteration: its entry value, then one register per write.
+    fn alloc_chain(&mut self, nwrites: u32, trip: u32) -> Result<u32, Decline> {
+        let n = u64::from(nwrites) * u64::from(trip) + 1;
+        self.charge_loop_words(n)?;
+        // In range: the charge above bounds `n` by MAX_LOOP_WORDS.
+        Ok(self.alloc(n as u32))
+    }
+
     fn do_sym_loop(
         &mut self,
         counter: u32,
@@ -3752,7 +3789,7 @@ impl<'a> Compiler<'a> {
         for &(w, nwrites) in &scan.whole_writes {
             match self.sym.get(&w).cloned() {
                 Some(SymVal::Scalar(r)) => {
-                    let start = self.alloc(nwrites * trip + 1);
+                    let start = self.alloc_chain(nwrites, trip)?;
                     self.emit_outer(Op::Mov {
                         dst: Reg::abs(start),
                         a: A::Reg(Reg::abs(r)),
@@ -3780,7 +3817,7 @@ impl<'a> Compiler<'a> {
                 None => match self.known.get(w).cloned() {
                     Some(v @ (Value::Real(_) | Value::Int(_))) => {
                         let init = v.as_real().map_err(|e| decline(e.message().to_string()))?;
-                        let start = self.alloc(nwrites * trip + 1);
+                        let start = self.alloc_chain(nwrites, trip)?;
                         self.const_init.push((start, init));
                         chains.insert(
                             w,
@@ -3921,6 +3958,7 @@ impl<'a> Compiler<'a> {
                 .collect();
             (lc.counter, lc.lo, lc.trip, ik)
         };
+        self.charge_loop_words(u64::from(trip))?;
         let mut out = Vec::with_capacity(trip as usize);
         let mut failure = None;
         for it in 0..trip {
@@ -4005,7 +4043,7 @@ impl<'a> Compiler<'a> {
                 UnOp::Plus => self.cexpr_loop(a),
                 UnOp::Neg => {
                     let a = self.cexpr_loop(a)?;
-                    let r = self.map1(UF::R(UnFn::Neg), CV1::S(a));
+                    let r = self.map1(UF::R(UnFn::Neg), CV1::S(a))?;
                     let CV1::S(a) = r else { unreachable!() };
                     Ok(a)
                 }
@@ -4032,7 +4070,7 @@ impl<'a> Compiler<'a> {
                     } else {
                         UF::R(UnFn::Powf(p))
                     };
-                    let CV1::S(r) = self.map1(f, CV1::S(a)) else {
+                    let CV1::S(r) = self.map1(f, CV1::S(a))? else {
                         unreachable!()
                     };
                     return Ok(r);
@@ -4151,7 +4189,7 @@ impl<'a> Compiler<'a> {
             }
             let x = self.cexpr_loop(&args[0])?;
             let (sargs, k) = self.l_site_args(kind, &args[1..])?;
-            let dst = self.fresh_dst();
+            let dst = self.fresh_dst()?;
             self.emit(Op::ScoreVal {
                 kind,
                 dst,
@@ -4201,7 +4239,7 @@ impl<'a> Compiler<'a> {
                 } else {
                     UF::R(UnFn::Powf(p))
                 };
-                Ok(unwrap(self.map1(f, s(x))))
+                Ok(unwrap(self.map1(f, s(x))?))
             }
             "fmax" | "max" => {
                 let a = sarg(self, 0)?;
@@ -4226,7 +4264,7 @@ impl<'a> Compiler<'a> {
                 let aa = self.map2(BinF::Mul, s(a), s(a))?;
                 let bb = self.map2(BinF::Mul, s(b), s(b))?;
                 let sum = self.map2(BinF::Add, aa, bb)?;
-                Ok(unwrap(self.map1(UF::R(UnFn::Sqrt), sum)))
+                Ok(unwrap(self.map1(UF::R(UnFn::Sqrt), sum)?))
             }
             "atan2" => {
                 let a = sarg(self, 0)?;
@@ -4247,14 +4285,14 @@ impl<'a> Compiler<'a> {
                 let b = sarg(self, 2)?;
                 let m = self.map2(BinF::ZeroMaxVal, s(a), s(b))?;
                 let da = self.map2(BinF::Sub, s(a), m)?;
-                let ea = self.map1(UF::R(UnFn::Exp), da);
+                let ea = self.map1(UF::R(UnFn::Exp), da)?;
                 let t1 = self.map2(BinF::Mul, s(theta), ea)?;
                 let onem = self.map2(BinF::Sub, s(A::Const(1.0)), s(theta))?;
                 let db = self.map2(BinF::Sub, s(b), m)?;
-                let eb = self.map1(UF::R(UnFn::Exp), db);
+                let eb = self.map1(UF::R(UnFn::Exp), db)?;
                 let t2 = self.map2(BinF::Mul, onem, eb)?;
                 let sum = self.map2(BinF::Add, t1, t2)?;
-                let l = self.map1(UF::R(UnFn::Ln), sum);
+                let l = self.map1(UF::R(UnFn::Ln), sum)?;
                 Ok(unwrap(self.map2(BinF::Add, m, l)?))
             }
             other => Err(decline(format!(
@@ -4373,7 +4411,7 @@ impl<'a> Compiler<'a> {
                     // A constant/table value written to a fresh local still
                     // needs a register so later reads are uniform.
                     other => {
-                        let dst = self.fresh_dst();
+                        let dst = self.fresh_dst()?;
                         self.emit(Op::Mov { dst, a: other });
                         dst
                     }
@@ -4433,6 +4471,7 @@ impl<'a> Compiler<'a> {
             }
             Dep::Symbolic => self.cexpr_loop(value)?,
         };
+        self.charge_loop_words(u64::from(trip))?;
         let base = self.alloc(trip);
         self.emit(Op::Mov {
             dst: Reg { base, stride: 1 },
@@ -4588,7 +4627,7 @@ impl<'a> Compiler<'a> {
                 UnOp::Plus => self.windowed(a, counter, lo, hi),
                 UnOp::Neg => {
                     let v = self.windowed(a, counter, lo, hi)?;
-                    Ok(self.map1(UF::R(UnFn::Neg), v))
+                    self.map1(UF::R(UnFn::Neg), v)
                 }
                 UnOp::Not => Err(decline("logical not in a windowed expression")),
             },
@@ -4607,7 +4646,7 @@ impl<'a> Compiler<'a> {
                     } else {
                         UF::R(UnFn::Powf(p))
                     };
-                    return Ok(self.map1(f, va));
+                    return self.map1(f, va);
                 }
                 let f = match op {
                     Add => BinF::Add,
@@ -4731,6 +4770,7 @@ pub fn compile(
         table_words: 0,
         expanded_trips: 0,
         expand_depth: 0,
+        loop_words: 0,
     };
     for (ps, rp) in slots.iter().zip(&resolved.params) {
         if ps.dims.len() > 1 {

@@ -1,16 +1,34 @@
-//! The x86_64 emitter: lowers a [`DProg`] to two straight-line native
-//! functions (value-only, and value+gradient) in one byte buffer.
+//! The x86_64 emitter: lowers a [`DProg`] to two native functions
+//! (value-only, and value+gradient) in one byte buffer.
 //!
-//! # Strategy: full unrolling
+//! # Strategy: rolled loops
 //!
 //! Every loop trip count, span length, and table index in a `DProg` is
 //! static (the compiler constant-folds data at bind time), so the emitted
-//! code is *pure straight-line*: loops and span ops unroll completely,
-//! `A::Table`/`VA::Table` operands fold to immediate constants, and
-//! `Reg { base, stride }` references resolve to absolute byte displacements
-//! off the register-file base pointer. There are no back-edges — the only
-//! branches are short forward skips implementing the interpreter's reverse
-//! zero-guards and `Option` checks. Programs whose unrolled form exceeds
+//! code needs no bounds checks and no dispatch. It keeps the program's own
+//! loop structure: each `Loop` op becomes one native counted loop over its
+//! body, and each span op (`VBin`, `VUn`, `Dot`, `Sum`, `MatVec`, `MaxVal`,
+//! `Constrain`, `AddScoreSpan`) one counted loop over its elements
+//! (`MatVec` two, rows then columns). Code size therefore follows the op
+//! list, not the data: a time series of ten thousand steps emits the same
+//! bytes as one of ten. Addressing follows the op's own operands:
+//!
+//! * `Reg { base, stride }` inside a loop is `[r12 + 8·base + 8·stride·iter]`,
+//!   with `rbx = 8·iter`: a SIB scale of `stride` for strides 1, 2, 4 and 8,
+//!   else `imul r11, rbx, stride` first (a loop-carried scalar written `w`
+//!   times per iteration has stride `w`); outside loops it is `[r12 + 8·base]`;
+//! * span element `i` is `[r12 + 8·start + r14]` with `r14 = 8·i`, and
+//!   `MatVec` row `r` is `[r12 + 8·dst + r15]` with `r15 = 8·r`;
+//! * `A::Table`, `VA::Table` and the `MatVec` matrix are loaded from the
+//!   tables of the boxed [`DProg`] the [`super::JitProg`] owns (never
+//!   mutated after bind), through `rax` (`r10` for the matrix row); outside
+//!   loops an `A::Table` operand folds to its iteration-0 immediate.
+//!
+//! A forward loop counts up from 0; a reverse loop counts down from
+//! `trip - 1` to 0 over its body ops in reverse order, exactly as the
+//! interpreter's `reverse_lanes`. A loop expanded at bind time is already
+//! straight-line ops in the program (each copy holding its rolled inner
+//! loops), so the emitted code grows with those expansions; programs past
 //! [`MAX_CODE_BYTES`] decline and keep the interpreter.
 //!
 //! # Fidelity contract
@@ -20,22 +38,28 @@
 //! accumulation order (`score`/`jac` kept in dedicated stack slots), literal
 //! `partial * g` multiplies even when the partial is `±1.0` (an algebraic
 //! shortcut would differ bitwise on NaN adjoints), and zero-guards compiled
-//! as `ucomisd` + `jp`(body) + `je`(skip) so a NaN adjoint takes the body
-//! exactly as `g != 0.0` does in Rust. Anything transcendental or branchy
-//! calls the interpreter's own code through the [`super::abi`] shims.
-//! `tests/jit_equivalence.rs` holds the result to bitwise equality.
+//! as `ucomisd` + `jp`(body) + `je`(skip) per element, so a NaN adjoint
+//! takes the body exactly as `g != 0.0` does in Rust. Anything
+//! transcendental or branchy calls the interpreter's own code through the
+//! [`super::abi`] shims. `tests/jit_equivalence.rs` holds the result to
+//! bitwise equality.
 //!
 //! # Register and stack discipline
 //!
 //! See [`super`] (the module-level docs) for the frame layout and ABI. In
-//! short: `r12` = register-file base, `r13` = adjoint base (both
-//! callee-saved, live across shim calls), `rax` = scratch for immediate
-//! materialization and call targets, `xmm0..xmm4` = expression operands,
-//! `xmm5` = negation mask scratch, `xmm6` = read-modify-write scratch for
-//! `+=` sequences, `xmm7` = the zero for guard compares, `xmm8..xmm15` =
-//! the adjoint register cache (below). Values that must survive a shim call
-//! (the adjoint seed `g`, the `MaxVal` accumulator) are spilled to fixed
-//! frame slots, since every XMM register is caller-saved.
+//! short: `r12` = register-file base, `r13` = adjoint base, `rbx` = the
+//! rolled loop's counter, `r14` = the span element counter, `r15` = the
+//! `MatVec` row counter. All five are callee-saved, so they stay live across
+//! shim calls; the prologue pushes them (five pushes keep `rsp` 16-byte
+//! aligned at every call). `rax` = scratch for immediates, table bases and
+//! call targets, `r10` = the `MatVec` row's matrix pointer and `r11` = the
+//! scaled counter of a stride SIB cannot scale; those three are
+//! caller-saved and never live across a call. `xmm0..xmm4` = expression
+//! operands, `xmm5` = negation mask scratch, `xmm6` = read-modify-write
+//! scratch for `+=` sequences, `xmm7` = the zero for guard compares,
+//! `xmm8..xmm15` = the adjoint register cache (below). Values that must
+//! survive a shim call (the adjoint seed `g`, the `MaxVal` accumulator) are
+//! spilled to fixed frame slots, since every XMM register is caller-saved.
 //!
 //! # Adjoint register cache
 //!
@@ -44,18 +68,23 @@
 //! waits on the previous one's store. The reverse pass therefore keeps the
 //! running sums of hot adjoint slots in registers, one *region* at a time:
 //!
-//! * a region is one reverse arm of `VBin`/`VUn`/`Dot`/`Sum`/`MatVec`/
-//!   `AddScoreSpan`, or a whole unrolled `Loop`, whose emitted code calls no
-//!   shim (the shims clobber every XMM register, so a call would end the
-//!   region); regions do not nest;
-//! * the slots the region bumps at least twice, at most eight ranked by
-//!   bump count, are loaded into `xmm8..xmm15` before the region's first
-//!   zero-guard and stored back after its last, so both paths of every
-//!   guard see one register state; the other slots keep the memory bump;
-//! * inside the region every bump of a cached slot is one `addsd` into its
-//!   register and every seed read of it (`load_adj`) reads the register,
-//!   so no instruction reaches a cached slot through memory and aliasing
-//!   needs no separate check.
+//! * a region is one rolled loop: the reverse arm of `VBin`/`VUn`/`Dot`/
+//!   `Sum`/`MatVec`/`AddScoreSpan`, or a whole `Loop`, whose emitted code
+//!   calls no shim (the shims clobber every XMM register, so a call would
+//!   end the region); regions do not nest;
+//! * only fixed (stride-0) slots are cached, the broadcast α, β, σ, ranked
+//!   by bumps per iteration, at most eight (ties by slot); a slot any
+//!   per-iteration or per-element access of the region can reach is left
+//!   out, so no instruction reaches a cached slot through memory;
+//! * the cached slots are loaded into `xmm8..xmm15` before the loop and
+//!   stored back after it, so both paths of every guard see one register
+//!   state; inside, every bump of a cached slot is one `addsd` into its
+//!   register and every seed read of it (`load_adj`) reads the register.
+//!   Per-iteration slots keep the memory bump;
+//! * `MatVec`'s reverse over a span `x` is the one exception: its `x`
+//!   adjoints are per column, bumped once per row, so it runs the columns
+//!   in groups of up to eight, each group's sums in `xmm8..` across a
+//!   row loop (each slot still gets its terms in row order).
 //!
 //! Each slot still receives exactly the same `addsd` operands in the same
 //! order; only where the running sum lives changes. The cache is therefore
@@ -63,13 +92,14 @@
 //! on them are unchanged.
 
 use super::super::UF;
-use super::super::{constraint_partials, BinF, DProg, Decline, Op, A, VA};
+use super::super::{constraint_partials, BinF, DProg, Decline, Op, Reg, A, VA};
 use super::abi;
 use minidiff::rules::UnFn;
 use probdist::Constraint;
 
-/// Unrolled-code budget; programs that exceed it decline to the interpreter
-/// (straight-line code far past this stops being an instruction-cache win).
+/// Code budget; programs past it decline to the interpreter. Rolled code is
+/// sized by the op list, so only very long programs (many loop expansions)
+/// come near it.
 const MAX_CODE_BYTES: usize = 4 << 20;
 
 // Frame-slot displacements off `rsp` (64-byte scratch area, see prologue).
@@ -83,6 +113,28 @@ const FRAME: u8 = 64;
 /// Adjoint cache capacity per reverse region: the registers xmm8..xmm15.
 const CACHE_REGS: usize = 8;
 
+// General-purpose register numbers (REX.B/X/R carry bit 3).
+const RAX: u8 = 0;
+const RBX: u8 = 3; // rolled loop counter, 8·(iter - origin)
+const RSP: u8 = 4;
+const RSI: u8 = 6;
+const RDI: u8 = 7;
+const R10: u8 = 10; // MatVec row pointer into the matrix table
+const R11: u8 = 11; // 8·stride·iter for strides SIB cannot scale
+const R12: u8 = 12; // register file
+const R13: u8 = 13; // adjoint buffer
+const R14: u8 = 14; // span element counter, 8·(i - len)
+const R15: u8 = 15; // MatVec row counter, 8·(r - rows)
+
+// `81 /ext` arithmetic on a 64-bit register with a 32-bit immediate.
+const ALU_ADD: u8 = 0;
+const ALU_SUB: u8 = 5;
+const ALU_CMP: u8 = 7;
+// Condition codes of the loop back-edges.
+const CC_B: u8 = 0x2;
+const CC_AE: u8 = 0x3;
+const CC_NZ: u8 = 0x5;
+
 /// The emitted buffer plus the byte offsets of its two entry points.
 pub(super) struct Emitted {
     pub(super) code: Vec<u8>,
@@ -90,20 +142,35 @@ pub(super) struct Emitted {
     pub(super) grad_off: usize,
 }
 
-/// Memory-operand base registers the emitter addresses through.
-#[derive(Clone, Copy, PartialEq)]
-enum Base {
-    /// `r12` — the register file (`ws.regs`).
-    Regs,
-    /// `r13` — the adjoint buffer (`ws.adj`).
-    Adj,
-    /// `rsp` — the 64-byte scratch frame.
-    Rsp,
+/// A memory operand `[base + index·scale + disp]`.
+#[derive(Clone, Copy)]
+struct Mem {
+    base: u8,
+    index: Option<(u8, u32)>,
+    disp: i32,
+}
+
+impl Mem {
+    fn at(base: u8, disp: i32) -> Mem {
+        Mem {
+            base,
+            index: None,
+            disp,
+        }
+    }
+
+    fn indexed(base: u8, index: u8, scale: u32, disp: i32) -> Mem {
+        Mem {
+            base,
+            index: Some((index, scale)),
+            disp,
+        }
+    }
 }
 
 /// Raw instruction encoder. Every method appends one instruction; memory
-/// operands are always `[base + disp32]` (mod=10), with a SIB byte when the
-/// base is `rsp`/`r12` and `REX.B` when it is `r12`/`r13`.
+/// operands are always `[base + index·scale + disp32]` (mod=10 with a SIB
+/// byte).
 struct Asm {
     code: Vec<u8>,
 }
@@ -129,45 +196,108 @@ impl Asm {
         self.bytes(&v.to_le_bytes());
     }
 
-    fn mem_modrm(&mut self, reg: u8, base: Base, disp: i32) {
-        match base {
-            Base::Regs | Base::Rsp => {
-                // rm=100 → SIB follows; SIB 0x24 = no index, base = rsp/r12.
-                self.byte(0x80 | (reg << 3) | 0x04);
-                self.byte(0x24);
-            }
-            Base::Adj => {
-                self.byte(0x80 | (reg << 3) | 0x05);
-            }
+    /// A REX prefix (`W`, and the high bits of ModRM `reg`, SIB index and
+    /// base), omitted when all are clear.
+    fn rex(&mut self, w: bool, reg: u8, index: u8, base: u8) {
+        let bits = u8::from(w) << 3
+            | u8::from(reg >= 8) << 2
+            | u8::from(index >= 8) << 1
+            | u8::from(base >= 8);
+        if bits != 0 {
+            self.byte(0x40 | bits);
         }
-        self.imm32(disp as u32);
     }
 
-    /// A REX prefix carrying the high bits of the ModRM `reg` (`REX.R`) and
-    /// `rm`/base (`REX.B`) fields, omitted when both are clear.
-    fn rex(&mut self, reg_hi: bool, rm_hi: bool) {
-        if reg_hi || rm_hi {
-            self.byte(0x40 | (u8::from(reg_hi) << 2) | u8::from(rm_hi));
-        }
+    fn rex_mem(&mut self, w: bool, reg: u8, m: Mem) {
+        self.rex(w, reg, m.index.map_or(0, |(i, _)| i), m.base);
+    }
+
+    /// ModRM + SIB + disp32 for `reg` and a memory operand.
+    fn modrm_mem(&mut self, reg: u8, m: Mem) {
+        self.byte(0x80 | ((reg & 7) << 3) | 0x04);
+        let (index, ss) = match m.index {
+            Some((i, s)) => (i & 7, s.trailing_zeros() as u8),
+            None => (0x04, 0), // no index
+        };
+        self.byte((ss << 6) | (index << 3) | (m.base & 7));
+        self.imm32(m.disp as u32);
     }
 
     /// Two-byte-opcode SSE instruction, register-register form (xmm0–15).
     fn sse_rr(&mut self, prefix: u8, opcode: u8, dst: u8, src: u8) {
         self.byte(prefix);
-        self.rex(dst >= 8, src >= 8);
+        self.rex(false, dst, 0, src);
         self.byte(0x0F);
         self.byte(opcode);
         self.byte(0xC0 | ((dst & 7) << 3) | (src & 7));
     }
 
-    /// Two-byte-opcode SSE instruction with a `[base + disp]` operand
-    /// (xmm0–15; `REX.B` selects r12/r13).
-    fn sse_mem(&mut self, prefix: u8, opcode: u8, xmm: u8, base: Base, disp: i32) {
+    /// Two-byte-opcode SSE instruction with a memory operand (xmm0–15).
+    fn sse_mem(&mut self, prefix: u8, opcode: u8, xmm: u8, m: Mem) {
         self.byte(prefix);
-        self.rex(xmm >= 8, base != Base::Rsp);
+        self.rex_mem(false, xmm, m);
         self.byte(0x0F);
         self.byte(opcode);
-        self.mem_modrm(xmm & 7, base, disp);
+        self.modrm_mem(xmm, m);
+    }
+
+    /// `lea dst, [m]`.
+    fn lea(&mut self, dst: u8, m: Mem) {
+        self.rex_mem(true, dst, m);
+        self.byte(0x8D);
+        self.modrm_mem(dst, m);
+    }
+
+    /// `mov r, imm64`.
+    fn mov_imm64(&mut self, r: u8, v: u64) {
+        self.rex(true, 0, 0, r);
+        self.byte(0xB8 | (r & 7));
+        self.imm64(v);
+    }
+
+    /// `mov r, simm32` (sign-extended to 64 bits).
+    fn mov_imm32(&mut self, r: u8, v: i32) {
+        self.rex(true, 0, 0, r);
+        self.bytes(&[0xC7, 0xC0 | (r & 7)]);
+        self.imm32(v as u32);
+    }
+
+    /// `add`/`sub`/`cmp r, simm32` (`ext` selects the operation).
+    fn alu_imm(&mut self, ext: u8, r: u8, v: i32) {
+        self.rex(true, 0, 0, r);
+        self.bytes(&[0x81, 0xC0 | (ext << 3) | (r & 7)]);
+        self.imm32(v as u32);
+    }
+
+    /// `imul dst, src, simm32`.
+    fn imul_imm(&mut self, dst: u8, src: u8, v: i32) {
+        self.rex(true, dst, 0, src);
+        self.bytes(&[0x69, 0xC0 | ((dst & 7) << 3) | (src & 7)]);
+        self.imm32(v as u32);
+    }
+
+    /// `add dst, src` (64-bit).
+    fn add_rr(&mut self, dst: u8, src: u8) {
+        self.rex(true, src, 0, dst);
+        self.bytes(&[0x01, 0xC0 | ((src & 7) << 3) | (dst & 7)]);
+    }
+
+    /// `push r` / `pop r`.
+    fn push(&mut self, r: u8) {
+        self.rex(false, 0, 0, r);
+        self.byte(0x50 | (r & 7));
+    }
+
+    fn pop(&mut self, r: u8) {
+        self.rex(false, 0, 0, r);
+        self.byte(0x58 | (r & 7));
+    }
+
+    /// `jcc rel32` back to `target` (a loop's back-edge).
+    fn jcc_back(&mut self, cc: u8, target: usize) {
+        self.bytes(&[0x0F, 0x80 | cc]);
+        let rel = target as i64 - (self.pos() as i64 + 4);
+        self.imm32(rel as i32 as u32);
     }
 
     /// `ucomisd` result dispatch for the interpreter's `if g != 0.0` guard:
@@ -196,32 +326,144 @@ impl Asm {
     }
 }
 
-/// The per-program emitter: walks the op list (twice — value entry and
-/// gradient entry) translating each op exactly as the interpreter executes
-/// it.
-struct E<'a> {
-    dp: &'a DProg,
-    a: Asm,
-    /// The adjoint register cache of the open reverse region:
-    /// `(adjoint slot, xmm register)` pairs, empty outside regions.
-    cache: Vec<(usize, u8)>,
+/// Where an operand's register (and adjoint) slot lies, relative to the
+/// counters of the loops being emitted.
+#[derive(Clone, Copy, PartialEq)]
+enum Loc {
+    /// One slot.
+    Fixed(u32),
+    /// `base + stride·iter` in the enclosing rolled loop (`stride ≥ 1`).
+    Iter { base: u32, stride: u32 },
+    /// `base + i` at the span element counter.
+    Elem(u32),
+    /// `base + r` at the `MatVec` row counter.
+    Row(u32),
 }
 
-/// Where a scalar/vector operand's adjoint lands, if anywhere — `None`
-/// operands (constants, tables) take no reverse bump and their ops can be
-/// skipped entirely when nothing else observes them.
-fn a_adj(a: A, iter: u32) -> Option<usize> {
-    match a {
-        A::Reg(r) => Some(r.at(iter)),
-        A::Const(_) | A::Table(_) => None,
+/// One adjoint access of a reverse region: slots `slot + stride·k` for
+/// `k < count` (`stride` 0: one fixed slot), read as a seed or bumped.
+struct Access {
+    slot: u32,
+    stride: u32,
+    count: u32,
+    bump: bool,
+}
+
+impl Access {
+    /// Whether a per-iteration or per-element access reaches `slot`.
+    fn reaches(&self, slot: u32) -> bool {
+        self.stride != 0
+            && slot >= self.slot
+            && (slot - self.slot).is_multiple_of(self.stride)
+            && (slot - self.slot) / self.stride < self.count
     }
 }
 
-fn va_adj(a: VA, i: usize) -> Option<usize> {
-    match a {
-        VA::Span(s) => Some(s as usize + i),
-        VA::RegS(r) => Some(r.at(0)),
+/// Appends every adjoint access of `op`'s reverse arm; `trip` is the
+/// enclosing rolled loop's, if any.
+fn adj_accesses(op: &Op, trip: Option<u32>, out: &mut Vec<Access>) {
+    let reg = |r: Reg, bump: bool| match trip {
+        Some(t) if r.stride != 0 => Access {
+            slot: r.base,
+            stride: r.stride,
+            count: t,
+            bump,
+        },
+        _ => Access {
+            slot: r.base,
+            stride: 0,
+            count: 1,
+            bump,
+        },
+    };
+    let a = |x: &A| match x {
+        A::Reg(r) => Some(reg(*r, true)),
+        A::Const(_) | A::Table(_) => None,
+    };
+    let span = |s: u32, len: u32, bump: bool| Access {
+        slot: s,
+        stride: 1,
+        count: len,
+        bump,
+    };
+    let va = |x: &VA, len: u32| match x {
+        VA::Span(s) => Some(span(*s, len, true)),
+        VA::RegS(r) => Some(Access {
+            slot: r.base,
+            stride: 0,
+            count: 1,
+            bump: true,
+        }),
         VA::Table(_) | VA::ConstS(_) => None,
+    };
+    match op {
+        Op::Bin {
+            dst, a: x, b: y, ..
+        } => {
+            out.push(reg(*dst, false));
+            out.extend(a(x).into_iter().chain(a(y)));
+        }
+        Op::Un { dst, a: x, .. } | Op::Mov { dst, a: x } => {
+            out.push(reg(*dst, false));
+            out.extend(a(x));
+        }
+        Op::AddScore { a: x } => out.extend(a(x)),
+        Op::ScoreElem { x, args, k, .. } => {
+            out.extend(a(x));
+            out.extend(args[..*k as usize].iter().filter_map(a));
+        }
+        Op::ScoreVal {
+            dst, x, args, k, ..
+        } => {
+            out.push(reg(*dst, false));
+            out.extend(a(x));
+            out.extend(args[..*k as usize].iter().filter_map(a));
+        }
+        Op::VBin {
+            dst,
+            a: x,
+            b: y,
+            len,
+            ..
+        } => {
+            out.push(span(*dst, *len, false));
+            out.extend(va(x, *len).into_iter().chain(va(y, *len)));
+        }
+        Op::VUn { dst, a: x, len, .. } => {
+            out.push(span(*dst, *len, false));
+            out.extend(va(x, *len));
+        }
+        Op::Dot {
+            dst,
+            a: x,
+            b: y,
+            len,
+        } => {
+            out.push(reg(Reg::abs(*dst), false));
+            out.extend(va(x, *len).into_iter().chain(va(y, *len)));
+        }
+        Op::Sum { dst, a: x, len } => {
+            out.push(reg(Reg::abs(*dst), false));
+            out.extend(va(x, *len));
+        }
+        Op::MatVec {
+            dst, x, rows, cols, ..
+        } => {
+            out.push(span(*dst, *rows, false));
+            out.extend(va(x, *cols));
+        }
+        Op::AddScoreSpan { a: x, len } => out.extend(va(x, *len)),
+        Op::Constrain { src, dst, len, .. } => {
+            out.push(span(*dst, *len, false));
+            out.push(span(*src, *len, true));
+        }
+        Op::Loop { trip, body } => {
+            for op in body {
+                adj_accesses(op, Some(*trip), out);
+            }
+        }
+        // Shim-calling or adjoint-free: never inside a cached region.
+        Op::MaxVal { .. } | Op::ScoreSweep { .. } | Op::ScoreSweepVal { .. } => {}
     }
 }
 
@@ -310,40 +552,32 @@ fn reverse_calls(op: &Op) -> bool {
     }
 }
 
-/// Appends every adjoint slot the reverse arm of `op` bumps, once per
-/// bump (the region cache ranks slots by these counts).
-fn bump_slots(op: &Op, iter: u32, out: &mut Vec<usize>) {
-    match op {
-        Op::Bin { a, b, .. } => out.extend(a_adj(*a, iter).into_iter().chain(a_adj(*b, iter))),
-        Op::Un { a, .. } | Op::Mov { a, .. } | Op::AddScore { a } => out.extend(a_adj(*a, iter)),
-        Op::VBin { a, b, len, .. } | Op::Dot { a, b, len, .. } => {
-            for i in 0..*len as usize {
-                out.extend(va_adj(*a, i).into_iter().chain(va_adj(*b, i)));
-            }
-        }
-        Op::VUn { a, len, .. } | Op::Sum { a, len, .. } | Op::AddScoreSpan { a, len } => {
-            out.extend((0..*len as usize).filter_map(|i| va_adj(*a, i)));
-        }
-        Op::MatVec { x, rows, cols, .. } => {
-            for _ in 0..*rows {
-                out.extend((0..*cols as usize).filter_map(|c| va_adj(*x, c)));
-            }
-        }
-        Op::Constrain { src, len, .. } => out.extend(*src as usize..(*src + *len) as usize),
-        Op::Loop { trip, body } => {
-            for it in 0..*trip {
-                for op in body {
-                    bump_slots(op, it, out);
-                }
-            }
-        }
-        // Shim-calling or adjoint-free: never inside a cached region.
-        Op::MaxVal { .. }
-        | Op::ScoreElem { .. }
-        | Op::ScoreVal { .. }
-        | Op::ScoreSweep { .. }
-        | Op::ScoreSweepVal { .. } => {}
-    }
+/// `8·n` as a 32-bit immediate (a loop bound in bytes), or a decline.
+fn bytes_i32(n: u32) -> Result<i32, Decline> {
+    i32::try_from(u64::from(n) * 8).map_err(|_| E::err("loop bound past disp32 addressing"))
+}
+
+/// The per-program emitter: walks the op list (twice — value entry and
+/// gradient entry) translating each op exactly as the interpreter executes
+/// it.
+struct E<'a> {
+    dp: &'a DProg,
+    a: Asm,
+    /// Trip of the rolled loop being emitted (`rbx` live), if any.
+    trip: Option<u32>,
+    /// The iteration at which `rbx` is 0: `trip` in a forward loop (which
+    /// counts up to 0), 0 in a reverse one (which counts down to 0).
+    origin: u32,
+    /// Length of the span loop being emitted (`r14` live).
+    span_len: u32,
+    /// Row count of the `MatVec` being emitted (`r15` live).
+    rows: u32,
+    /// Set when an operand addresses past the register file; the program
+    /// then declines (the interpreter would fail its bounds check).
+    out_of_range: bool,
+    /// The adjoint register cache of the open reverse region:
+    /// `(adjoint slot, xmm register)` pairs, empty outside regions.
+    cache: Vec<(u32, u8)>,
 }
 
 impl<'a> E<'a> {
@@ -353,18 +587,86 @@ impl<'a> E<'a> {
 
     fn check_size(&self) -> Result<(), Decline> {
         if self.a.pos() > MAX_CODE_BYTES {
-            return Err(Self::err("unrolled code exceeds the size cap"));
+            return Err(Self::err("emitted code exceeds the size cap"));
         }
         Ok(())
     }
 
-    fn table_f(&self, t: u32, i: usize) -> Result<f64, Decline> {
-        self.dp
-            .tables_f
-            .get(t as usize)
-            .and_then(|v| v.get(i))
-            .copied()
-            .ok_or_else(|| Self::err("table operand out of range"))
+    /// Address of table `t`'s entries, checked to hold at least `need`.
+    fn table_ptr(&self, t: u32, need: u32) -> Result<u64, Decline> {
+        match self.dp.tables_f.get(t as usize) {
+            Some(v) if v.len() >= need as usize => Ok(v.as_ptr() as u64),
+            _ => Err(Self::err("table operand out of range")),
+        }
+    }
+
+    // -- addressing ---------------------------------------------------------
+
+    /// The location of register `r` in the code being emitted: outside a
+    /// rolled loop every register is its iteration-0 slot.
+    fn reg_loc(&self, r: Reg) -> Loc {
+        match self.trip {
+            Some(_) if r.stride != 0 => Loc::Iter {
+                base: r.base,
+                stride: r.stride,
+            },
+            _ => Loc::Fixed(r.base),
+        }
+    }
+
+    fn a_loc(&self, a: A) -> Option<Loc> {
+        match a {
+            A::Reg(r) => Some(self.reg_loc(r)),
+            A::Const(_) | A::Table(_) => None,
+        }
+    }
+
+    fn va_loc(a: VA) -> Option<Loc> {
+        match a {
+            VA::Span(s) => Some(Loc::Elem(s)),
+            VA::RegS(r) => Some(Loc::Fixed(r.base)),
+            VA::Table(_) | VA::ConstS(_) => None,
+        }
+    }
+
+    /// The memory operand of `loc` off `base` (`r12` or `r13`); a stride SIB
+    /// cannot scale is first multiplied into `r11`.
+    fn mem(&mut self, base: u8, loc: Loc) -> Mem {
+        // The last slot the operand reaches, and its slot at counter 0.
+        let (last, zero, index) = match loc {
+            Loc::Fixed(s) => (u64::from(s), u64::from(s), None),
+            Loc::Iter { base: s, stride } => {
+                let iters = u64::from(self.trip.map_or(0, |t| t.max(1) - 1));
+                let at_zero = u64::from(s) + u64::from(stride) * u64::from(self.origin);
+                let index = if matches!(stride, 1 | 2 | 4 | 8) {
+                    (RBX, stride)
+                } else {
+                    self.a.imul_imm(R11, RBX, stride as i32);
+                    (R11, 1)
+                };
+                (
+                    u64::from(s) + u64::from(stride) * iters,
+                    at_zero,
+                    Some(index),
+                )
+            }
+            Loc::Elem(s) => {
+                let end = u64::from(s) + u64::from(self.span_len);
+                (end.max(1) - 1, end, Some((R14, 1)))
+            }
+            Loc::Row(s) => {
+                let end = u64::from(s) + u64::from(self.rows);
+                (end.max(1) - 1, end, Some((R15, 1)))
+            }
+        };
+        let disp = i32::try_from(8 * zero).unwrap_or_else(|_| {
+            self.out_of_range = true;
+            0
+        });
+        if last >= self.dp.n_regs as u64 {
+            self.out_of_range = true;
+        }
+        Mem { base, index, disp }
     }
 
     // -- value materialization --------------------------------------------
@@ -375,92 +677,109 @@ impl<'a> E<'a> {
         if bits == 0 {
             self.a.sse_rr(0x66, 0x57, x, x); // xorpd x, x
         } else {
-            self.a.bytes(&[0x48, 0xB8]); // mov rax, imm64
-            self.a.imm64(bits);
-            self.a.bytes(&[0x66, 0x48, 0x0F, 0x6E]); // movq x, rax
-            self.a.byte(0xC0 | (x << 3));
+            self.a.mov_imm64(RAX, bits);
+            self.a
+                .bytes(&[0x66, 0x48 | u8::from(x >= 8) << 2, 0x0F, 0x6E]); // movq x, rax
+            self.a.byte(0xC0 | ((x & 7) << 3));
         }
     }
 
-    fn load_reg(&mut self, x: u8, idx: usize) {
-        self.a.sse_mem(0xF2, 0x10, x, Base::Regs, (idx * 8) as i32);
+    fn load_reg(&mut self, x: u8, loc: Loc) {
+        let m = self.mem(R12, loc);
+        self.a.sse_mem(0xF2, 0x10, x, m);
     }
 
-    fn store_reg(&mut self, x: u8, idx: usize) {
-        self.a.sse_mem(0xF2, 0x11, x, Base::Regs, (idx * 8) as i32);
+    fn store_reg(&mut self, x: u8, loc: Loc) {
+        let m = self.mem(R12, loc);
+        self.a.sse_mem(0xF2, 0x11, x, m);
     }
 
-    /// The cache register holding `adj[idx]`, if the open region cached it.
-    fn cached(&self, idx: usize) -> Option<u8> {
-        self.cache.iter().find(|&&(s, _)| s == idx).map(|&(_, x)| x)
+    /// The cache register holding `adj[slot]`, if the open region cached it.
+    fn cached(&self, loc: Loc) -> Option<u8> {
+        let Loc::Fixed(slot) = loc else { return None };
+        self.cache
+            .iter()
+            .find(|&&(s, _)| s == slot)
+            .map(|&(_, x)| x)
     }
 
-    fn load_adj(&mut self, x: u8, idx: usize) {
-        match self.cached(idx) {
+    fn load_adj(&mut self, x: u8, loc: Loc) {
+        match self.cached(loc) {
             Some(c) => self.a.sse_rr(0x66, 0x28, x, c), // movapd x, xmm<c>
-            None => self.a.sse_mem(0xF2, 0x10, x, Base::Adj, (idx * 8) as i32),
+            None => {
+                let m = self.mem(R13, loc);
+                self.a.sse_mem(0xF2, 0x10, x, m);
+            }
         }
     }
 
-    /// `adj[idx] += xmm<x>`: one `addsd` into the cache register when the
+    /// `adj[loc] += xmm<x>`: one `addsd` into the cache register when the
     /// slot is cached, else a read-modify-write through xmm6 (`x` must not
     /// be 6).
-    fn add_adj(&mut self, x: u8, idx: usize) {
+    fn add_adj(&mut self, x: u8, loc: Loc) {
         debug_assert_ne!(x, 6);
-        if let Some(c) = self.cached(idx) {
+        if let Some(c) = self.cached(loc) {
             self.a.sse_rr(0xF2, 0x58, c, x); // addsd xmm<c>, x → adj + v
             return;
         }
-        let d = (idx * 8) as i32;
-        self.a.sse_mem(0xF2, 0x10, 6, Base::Adj, d);
+        let m = self.mem(R13, loc);
+        self.a.sse_mem(0xF2, 0x10, 6, m);
         self.a.sse_rr(0xF2, 0x58, 6, x); // addsd xmm6, x → adj + v
-        self.a.sse_mem(0xF2, 0x11, 6, Base::Adj, d);
+        self.a.sse_mem(0xF2, 0x11, 6, m);
     }
 
-    /// Opens a reverse region: loads the (up to [`CACHE_REGS`]) slots the
-    /// region bumps most often, at least twice each, into xmm8.. —
-    /// before the region's first guard.
-    fn fill_cache(&mut self, op: &Op, iter: u32) {
+    /// Opens a reverse region: loads the (up to [`CACHE_REGS`]) fixed slots
+    /// the region bumps most often per iteration into xmm8.. — before the
+    /// region's loop. Slots a per-iteration or per-element access of the
+    /// region reaches stay in memory.
+    fn fill_cache(&mut self, op: &Op) {
         debug_assert!(self.cache.is_empty());
-        let mut slots = Vec::new();
-        bump_slots(op, iter, &mut slots);
+        let mut acc = Vec::new();
+        adj_accesses(op, self.trip, &mut acc);
+        let mut slots: Vec<u32> = acc
+            .iter()
+            .filter(|a| a.bump && a.stride == 0)
+            .map(|a| a.slot)
+            .collect();
         slots.sort_unstable();
-        let mut hot: Vec<(usize, usize)> = slots
+        let mut hot: Vec<(usize, u32)> = slots
             .chunk_by(|a, b| a == b)
-            .filter(|run| run.len() >= 2)
+            .filter(|run| !acc.iter().any(|a| a.reaches(run[0])))
             .map(|run| (run.len(), run[0]))
             .collect();
         // Most bumps first; ties by slot, so emission is deterministic.
         hot.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         for (k, &(_, slot)) in hot.iter().take(CACHE_REGS).enumerate() {
             let x = 8 + k as u8;
-            self.a.sse_mem(0xF2, 0x10, x, Base::Adj, (slot * 8) as i32);
+            let m = self.mem(R13, Loc::Fixed(slot));
+            self.a.sse_mem(0xF2, 0x10, x, m);
             self.cache.push((slot, x));
         }
     }
 
     /// Closes the region: stores every cached running sum back, after the
-    /// region's last guard.
+    /// region's loop.
     fn flush_cache(&mut self) {
         for (slot, x) in std::mem::take(&mut self.cache) {
-            self.a.sse_mem(0xF2, 0x11, x, Base::Adj, (slot * 8) as i32);
+            let m = self.mem(R13, Loc::Fixed(slot));
+            self.a.sse_mem(0xF2, 0x11, x, m);
         }
     }
 
     /// `[rsp+off] += xmm<x>` — the score/jac accumulators.
     fn acc_add(&mut self, x: u8, off: i32) {
         debug_assert_ne!(x, 6);
-        self.a.sse_mem(0xF2, 0x10, 6, Base::Rsp, off);
+        self.reload(6, off);
         self.a.sse_rr(0xF2, 0x58, 6, x);
-        self.a.sse_mem(0xF2, 0x11, 6, Base::Rsp, off);
+        self.spill(6, off);
     }
 
     fn spill(&mut self, x: u8, off: i32) {
-        self.a.sse_mem(0xF2, 0x11, x, Base::Rsp, off);
+        self.a.sse_mem(0xF2, 0x11, x, Mem::at(RSP, off));
     }
 
     fn reload(&mut self, x: u8, off: i32) {
-        self.a.sse_mem(0xF2, 0x10, x, Base::Rsp, off);
+        self.a.sse_mem(0xF2, 0x10, x, Mem::at(RSP, off));
     }
 
     /// `xmm<x> = -xmm<x>` via sign-bit xor (bitwise `f64::neg`).
@@ -469,29 +788,103 @@ impl<'a> E<'a> {
         self.a.sse_rr(0x66, 0x57, x, 5); // xorpd x, xmm5
     }
 
-    fn load_a(&mut self, x: u8, a: A, iter: u32) -> Result<(), Decline> {
+    fn load_a(&mut self, x: u8, a: A) -> Result<(), Decline> {
         match a {
-            A::Reg(r) => self.load_reg(x, r.at(iter)),
-            A::Const(c) => self.load_const(x, c),
-            A::Table(t) => {
-                let c = self.table_f(t, iter as usize)?;
-                self.load_const(x, c);
+            A::Reg(r) => {
+                let loc = self.reg_loc(r);
+                self.load_reg(x, loc);
             }
+            A::Const(c) => self.load_const(x, c),
+            A::Table(t) => match self.trip {
+                Some(trip) => {
+                    let p = self.table_ptr(t, trip)? + 8 * u64::from(self.origin);
+                    self.a.mov_imm64(RAX, p);
+                    self.a.sse_mem(0xF2, 0x10, x, Mem::indexed(RAX, RBX, 1, 0));
+                }
+                None => {
+                    self.table_ptr(t, 1)?;
+                    self.load_const(x, self.dp.tables_f[t as usize][0]);
+                }
+            },
         }
         Ok(())
     }
 
-    fn load_va(&mut self, x: u8, a: VA, i: usize) -> Result<(), Decline> {
+    /// Loads element `i` (the span counter) of a vector operand.
+    fn load_va(&mut self, x: u8, a: VA) -> Result<(), Decline> {
         match a {
-            VA::Span(s) => self.load_reg(x, s as usize + i),
+            VA::Span(s) => self.load_reg(x, Loc::Elem(s)),
             VA::Table(t) => {
-                let c = self.table_f(t, i)?;
-                self.load_const(x, c);
+                let p = self.table_ptr(t, self.span_len)? + 8 * u64::from(self.span_len);
+                self.a.mov_imm64(RAX, p);
+                self.a.sse_mem(0xF2, 0x10, x, Mem::indexed(RAX, R14, 1, 0));
             }
-            VA::RegS(r) => self.load_reg(x, r.at(0)),
+            VA::RegS(r) => self.load_reg(x, Loc::Fixed(r.base)),
             VA::ConstS(c) => self.load_const(x, c),
         }
         Ok(())
+    }
+
+    // -- loops -------------------------------------------------------------
+
+    /// Emits `body` for every element `i in 0..len` as a counted loop on
+    /// `r14 = 8·(i - len)`, which reaches 0 past the last element so the
+    /// back-edge is one `add` + `jnz` (nothing at all when `len` is 0).
+    fn span_loop(
+        &mut self,
+        len: u32,
+        mut body: impl FnMut(&mut Self) -> Result<(), Decline>,
+    ) -> Result<(), Decline> {
+        if len == 0 {
+            return Ok(());
+        }
+        let start = -bytes_i32(len)?;
+        let outer = std::mem::replace(&mut self.span_len, len);
+        self.a.mov_imm32(R14, start);
+        let top = self.a.pos();
+        body(self)?;
+        self.a.alu_imm(ALU_ADD, R14, 8);
+        self.a.jcc_back(CC_NZ, top);
+        self.span_len = outer;
+        Ok(())
+    }
+
+    /// Emits `body` for every `MatVec` row `r in 0..rows` on
+    /// `r15 = 8·(r - rows)`, with `r10` at the row's first matrix entry.
+    fn row_loop(
+        &mut self,
+        mat: u32,
+        rows: u32,
+        cols: u32,
+        mut body: impl FnMut(&mut Self) -> Result<(), Decline>,
+    ) -> Result<(), Decline> {
+        if rows == 0 {
+            return Ok(());
+        }
+        let start = -bytes_i32(rows)?;
+        let cols_i = i32::try_from(cols).map_err(|_| Self::err("matrix too wide"))?;
+        let need = rows
+            .checked_mul(cols)
+            .ok_or_else(|| Self::err("matrix too large"))?;
+        // r10 = p + 8·r·cols = (p + 8·rows·cols) + r15·cols.
+        let p = self.table_ptr(mat, need)? + 8 * u64::from(need);
+        self.rows = rows;
+        self.a.mov_imm32(R15, start);
+        let top = self.a.pos();
+        self.a.imul_imm(R10, R15, cols_i);
+        self.a.mov_imm64(RAX, p);
+        self.a.add_rr(R10, RAX);
+        body(self)?;
+        self.a.alu_imm(ALU_ADD, R15, 8);
+        self.a.jcc_back(CC_NZ, top);
+        Ok(())
+    }
+
+    /// `xmm<x> = m[r][c]` inside a [`E::row_loop`]'s column span loop.
+    fn load_mat(&mut self, x: u8) {
+        let end = 8 * self.span_len as i32;
+        self.a
+            .sse_mem(0xF2, 0x10, x, Mem::indexed(R10, R14, 1, end));
     }
 
     // -- calls -------------------------------------------------------------
@@ -499,31 +892,8 @@ impl<'a> E<'a> {
     fn call(&mut self, f: usize) {
         // Every XMM register is caller-saved: no call may sit in a region.
         debug_assert!(self.cache.is_empty(), "shim call inside a cached region");
-        self.a.bytes(&[0x48, 0xB8]); // mov rax, imm64
-        self.a.imm64(f as u64);
+        self.a.mov_imm64(RAX, f as u64);
         self.a.bytes(&[0xFF, 0xD0]); // call rax
-    }
-
-    fn mov_rdi_imm(&mut self, v: u64) {
-        self.a.bytes(&[0x48, 0xBF]);
-        self.a.imm64(v);
-    }
-
-    fn mov_rsi_imm(&mut self, v: u64) {
-        self.a.bytes(&[0x48, 0xBE]);
-        self.a.imm64(v);
-    }
-
-    /// `lea rsi, [rsp + disp]` — a scratch-slot out-pointer for shims.
-    fn lea_rsi_rsp(&mut self, disp: i32) {
-        self.a.bytes(&[0x48, 0x8D, 0xB4, 0x24]);
-        self.a.imm32(disp as u32);
-    }
-
-    /// `lea rsi, [r12 + 8·idx]` — `&mut regs[idx]` for the constrain shim.
-    fn lea_rsi_regs(&mut self, idx: usize) {
-        self.a.bytes(&[0x49, 0x8D, 0xB4, 0x24]);
-        self.a.imm32((idx * 8) as u32);
     }
 
     fn mov_rdx_r12(&mut self) {
@@ -545,13 +915,13 @@ impl<'a> E<'a> {
     // -- function frame ----------------------------------------------------
 
     /// `extern "C" fn(regs: *mut f64, adj: *mut f64) -> f64` entry: saves
-    /// rbp/r12/r13 (three pushes keep rsp 16-byte aligned at call sites),
-    /// opens the 64-byte scratch frame, parks the base pointers, zeroes the
-    /// score/jac accumulators.
+    /// r12/r13/rbx/r14/r15 (five pushes keep rsp 16-byte aligned at call
+    /// sites), opens the 64-byte scratch frame, parks the base pointers,
+    /// zeroes the score/jac accumulators.
     fn prologue(&mut self) {
-        self.a.byte(0x55); // push rbp
-        self.a.bytes(&[0x41, 0x54]); // push r12
-        self.a.bytes(&[0x41, 0x55]); // push r13
+        for r in [R12, R13, RBX, R14, R15] {
+            self.a.push(r);
+        }
         self.a.bytes(&[0x48, 0x83, 0xEC, FRAME]); // sub rsp, 64
         self.a.bytes(&[0x49, 0x89, 0xFC]); // mov r12, rdi
         self.a.bytes(&[0x49, 0x89, 0xF5]); // mov r13, rsi
@@ -563,11 +933,11 @@ impl<'a> E<'a> {
     /// Returns `score + jac` (the interpreter's `forward_sum`).
     fn epilogue(&mut self) {
         self.reload(0, OFF_SCORE);
-        self.a.sse_mem(0xF2, 0x58, 0, Base::Rsp, OFF_JAC); // addsd xmm0, [jac]
+        self.a.sse_mem(0xF2, 0x58, 0, Mem::at(RSP, OFF_JAC)); // addsd xmm0, [jac]
         self.a.bytes(&[0x48, 0x83, 0xC4, FRAME]); // add rsp, 64
-        self.a.bytes(&[0x41, 0x5D]); // pop r13
-        self.a.bytes(&[0x41, 0x5C]); // pop r12
-        self.a.byte(0x5D); // pop rbp
+        for r in [R15, R14, RBX, R13, R12] {
+            self.a.pop(r);
+        }
         self.a.byte(0xC3); // ret
     }
 
@@ -581,7 +951,7 @@ impl<'a> E<'a> {
             BinF::Mul => self.a.sse_rr(0xF2, 0x59, 0, 1),
             BinF::Div => self.a.sse_rr(0xF2, 0x5E, 0, 1),
             _ => {
-                self.mov_rdi_imm(f as *const BinF as usize as u64);
+                self.a.mov_imm64(RDI, f as *const BinF as u64);
                 self.call(abi::binf_value_c as *const () as usize);
             }
         }
@@ -598,30 +968,29 @@ impl<'a> E<'a> {
                 self.a.sse_rr(0xF2, 0x5E, 0, 1); // 1.0 / x
             }
             _ => {
-                self.mov_rdi_imm(f as *const UF as usize as u64);
+                self.a.mov_imm64(RDI, f as *const UF as u64);
                 self.call(abi::uf_value_c as *const () as usize);
             }
         }
     }
 
-    /// `adj[idx] += xmm<x> * g` with `g` in `xmm<gx>` (clobbers `xmm<x>`).
-    fn mul_g_bump(&mut self, x: u8, gx: u8, idx: usize) {
+    /// `adj[loc] += xmm<x> * g` with `g` in `xmm<gx>` (clobbers `xmm<x>`).
+    fn mul_g_bump(&mut self, x: u8, gx: u8, loc: Loc) {
         self.a.sse_rr(0xF2, 0x59, x, gx); // partial * g
-        self.add_adj(x, idx);
+        self.add_adj(x, loc);
     }
 
     /// One binary op's reverse body, with the guard already taken and `g`
     /// in xmm0. `la`/`lb` load the operand values; `ai`/`bi` are the
-    /// operands' adjoint slots. Mirrors `f.partials(va, vb)` then
+    /// operands' adjoint locations. Mirrors `f.partials(va, vb)` then
     /// `bump(a, da·g); bump(b, db·g)` exactly.
-    #[allow(clippy::too_many_arguments)]
     fn bin_reverse_body(
         &mut self,
         f: &BinF,
         la: &dyn Fn(&mut Self, u8) -> Result<(), Decline>,
         lb: &dyn Fn(&mut Self, u8) -> Result<(), Decline>,
-        ai: Option<usize>,
-        bi: Option<usize>,
+        ai: Option<Loc>,
+        bi: Option<Loc>,
     ) -> Result<(), Decline> {
         match f {
             BinF::Add | BinF::Sub => {
@@ -670,8 +1039,8 @@ impl<'a> E<'a> {
                 self.spill(0, OFF_G);
                 la(self, 0)?;
                 lb(self, 1)?;
-                self.mov_rdi_imm(f as *const BinF as usize as u64);
-                self.lea_rsi_rsp(OFF_OUT);
+                self.a.mov_imm64(RDI, f as *const BinF as u64);
+                self.a.lea(RSI, Mem::at(RSP, OFF_OUT));
                 self.call(abi::binf_partials_c as *const () as usize);
                 self.reload(0, OFF_G);
                 if let Some(i) = ai {
@@ -688,14 +1057,14 @@ impl<'a> E<'a> {
     }
 
     /// One unary op's reverse body (guard taken, `g` in xmm0, operand
-    /// adjoint slot `ai`, result register `fx_idx`). Mirrors
+    /// adjoint `ai`, result register `fx`). Mirrors
     /// `bump(a, f.partial(va, fx) * g)`.
     fn un_reverse_body(
         &mut self,
         f: &UF,
         la: &dyn Fn(&mut Self, u8) -> Result<(), Decline>,
-        ai: usize,
-        fx_idx: usize,
+        ai: Loc,
+        fx: Loc,
     ) -> Result<(), Decline> {
         match f {
             UF::R(UnFn::Neg) => {
@@ -704,7 +1073,7 @@ impl<'a> E<'a> {
             }
             UF::R(UnFn::Exp) => {
                 // partial = fx
-                self.load_reg(1, fx_idx);
+                self.load_reg(1, fx);
                 self.mul_g_bump(1, 0, ai);
             }
             UF::R(UnFn::Ln) => {
@@ -717,7 +1086,7 @@ impl<'a> E<'a> {
             UF::R(UnFn::Sqrt) => {
                 // partial = 0.5 / fx
                 self.load_const(1, 0.5);
-                self.load_reg(2, fx_idx);
+                self.load_reg(2, fx);
                 self.a.sse_rr(0xF2, 0x5E, 1, 2);
                 self.mul_g_bump(1, 0, ai);
             }
@@ -732,7 +1101,7 @@ impl<'a> E<'a> {
             UF::R(UnFn::Tanh) => {
                 // partial = 1.0 - fx * fx
                 self.load_const(1, 1.0);
-                self.load_reg(2, fx_idx);
+                self.load_reg(2, fx);
                 self.a.sse_rr(0xF2, 0x59, 2, 2);
                 self.a.sse_rr(0xF2, 0x5C, 1, 2);
                 self.mul_g_bump(1, 0, ai);
@@ -740,11 +1109,11 @@ impl<'a> E<'a> {
             _ => {
                 self.spill(0, OFF_G);
                 la(self, 0)?; // x
-                self.load_reg(1, fx_idx); // fx
-                self.mov_rdi_imm(f as *const UF as usize as u64);
+                self.load_reg(1, fx); // fx
+                self.a.mov_imm64(RDI, f as *const UF as u64);
                 self.call(abi::uf_partial_c as *const () as usize);
                 // partial * g
-                self.a.sse_mem(0xF2, 0x59, 0, Base::Rsp, OFF_G);
+                self.a.sse_mem(0xF2, 0x59, 0, Mem::at(RSP, OFF_G));
                 self.add_adj(0, ai);
             }
         }
@@ -760,13 +1129,13 @@ impl<'a> E<'a> {
         x: &A,
         args: &[A; 3],
         k: u8,
-        iter: u32,
     ) -> Result<(), Decline> {
-        self.mov_rdi_imm(kind as *const probdist::DistKind as usize as u64);
-        self.load_a(0, *x, iter)?;
+        self.a
+            .mov_imm64(RDI, kind as *const probdist::DistKind as u64);
+        self.load_a(0, *x)?;
         for (j, arg) in args.iter().enumerate() {
             if j < k as usize {
-                self.load_a(1 + j as u8, *arg, iter)?;
+                self.load_a(1 + j as u8, *arg)?;
             } else {
                 self.load_const(1 + j as u8, 0.0);
             }
@@ -776,176 +1145,278 @@ impl<'a> E<'a> {
 
     /// Parks the sweep shim's pointer arguments: `(dp, op, regs[, adj])`.
     fn sweep_call_args(&mut self, op: &Op, with_adj: bool) {
-        self.mov_rdi_imm(self.dp as *const DProg as usize as u64);
-        self.mov_rsi_imm(op as *const Op as usize as u64);
+        self.a.mov_imm64(RDI, self.dp as *const DProg as u64);
+        self.a.mov_imm64(RSI, op as *const Op as u64);
         self.mov_rdx_r12();
         if with_adj {
             self.mov_rcx_r13();
         }
     }
 
+    /// The adjoints of a `Constrain` step at the span counter, exactly
+    /// `adj[src+c] += g·dxdu + djdu` (unguarded).
+    fn constrain_reverse_elem(&mut self, kind: &Constraint, src: u32, dst: u32) {
+        if matches!(kind, Constraint::None) {
+            let (dxdu, djdu) = constraint_partials(*kind, 0.0);
+            self.load_adj(0, Loc::Elem(dst));
+            self.load_const(1, dxdu);
+            self.a.sse_rr(0xF2, 0x59, 0, 1); // g · dxdu
+            self.load_const(1, djdu);
+            self.a.sse_rr(0xF2, 0x58, 0, 1); // + djdu
+        } else {
+            self.load_reg(0, Loc::Elem(src)); // u
+            self.a.mov_imm64(RDI, kind as *const Constraint as u64);
+            self.a.lea(RSI, Mem::at(RSP, OFF_OUT));
+            self.call(abi::constrain_partials_c as *const () as usize);
+            self.load_adj(0, Loc::Elem(dst));
+            self.a.sse_mem(0xF2, 0x59, 0, Mem::at(RSP, OFF_OUT)); // g·dxdu
+            self.a.sse_mem(0xF2, 0x58, 0, Mem::at(RSP, OFF_OUT + 8)); // +djdu
+        }
+        self.add_adj(0, Loc::Elem(src));
+    }
+
+    /// The reverse of `MatVec` over a span `x`, columns in groups of up to
+    /// [`CACHE_REGS`]: each group's adjoints `adj[x + c]` stay in
+    /// xmm8.. over a row loop, so each gets its `m[r][c]·g[r]` terms in row
+    /// order, exactly the addsd sequence of the row-major reverse (whose
+    /// per-row zero-guard each group repeats). The caller checks that `x`
+    /// and the destination rows are disjoint and that no region is open.
+    fn matvec_reverse_by_columns(&mut self, op: &Op) -> Result<(), Decline> {
+        let Op::MatVec {
+            dst,
+            mat,
+            x: VA::Span(xs),
+            rows,
+            cols,
+        } = op
+        else {
+            unreachable!("a MatVec over a span");
+        };
+        let group = CACHE_REGS as u32;
+        // 8·(the first column past the full groups): their loop's bound and
+        // the remainder group's start.
+        let full_end = bytes_i32(*cols / group * group)?;
+        if full_end > 0 {
+            self.a.mov_imm32(R14, 0);
+            let top = self.a.pos();
+            self.matvec_column_group(*dst, *mat, *xs, *rows, *cols, CACHE_REGS)?;
+            self.a.alu_imm(ALU_ADD, R14, 8 * group as i32);
+            self.a.alu_imm(ALU_CMP, R14, full_end);
+            self.a.jcc_back(CC_B, top);
+        }
+        if *cols % group > 0 {
+            self.a.mov_imm32(R14, full_end);
+            let rem = (*cols % group) as usize;
+            self.matvec_column_group(*dst, *mat, *xs, *rows, *cols, rem)?;
+        }
+        Ok(())
+    }
+
+    /// One group of `w` columns from `r14 = 8·c0` (see
+    /// [`E::matvec_reverse_by_columns`]).
+    fn matvec_column_group(
+        &mut self,
+        dst: u32,
+        mat: u32,
+        xs: u32,
+        rows: u32,
+        cols: u32,
+        w: usize,
+    ) -> Result<(), Decline> {
+        // Here r14 = 8·c0 counts from 0: column c0 + j is at 8·(xs + j).
+        if u64::from(xs) + u64::from(cols) > self.dp.n_regs as u64 {
+            self.out_of_range = true;
+        }
+        let col = |j: usize| Mem::indexed(R13, R14, 1, 8 * (xs as i32 + j as i32));
+        for j in 0..w {
+            self.a.sse_mem(0xF2, 0x10, 8 + j as u8, col(j));
+        }
+        self.row_loop(mat, rows, cols, |e| {
+            e.load_adj(0, Loc::Row(dst));
+            let skip = e.guard_nonzero(0);
+            for j in 0..w {
+                // m · g into the column's running sum.
+                let m = Mem::indexed(R10, R14, 1, 8 * j as i32);
+                e.a.sse_mem(0xF2, 0x10, 1, m);
+                e.a.sse_rr(0xF2, 0x59, 1, 0);
+                e.a.sse_rr(0xF2, 0x58, 8 + j as u8, 1);
+            }
+            e.a.bind(skip);
+            Ok(())
+        })?;
+        for j in 0..w {
+            self.a.sse_mem(0xF2, 0x11, 8 + j as u8, col(j));
+        }
+        Ok(())
+    }
+
     // -- forward pass ------------------------------------------------------
 
-    fn forward_ops(&mut self, ops: &[Op], iter: u32) -> Result<(), Decline> {
+    fn forward_ops(&mut self, ops: &[Op]) -> Result<(), Decline> {
         for op in ops {
             self.check_size()?;
-            match op {
-                Op::Bin { f, dst, a, b } => {
-                    self.load_a(0, *a, iter)?;
-                    self.load_a(1, *b, iter)?;
-                    self.binf_value(f);
-                    self.store_reg(0, dst.at(iter));
+            self.forward_op(op)?;
+        }
+        Ok(())
+    }
+
+    /// One op's forward arm, exactly as the interpreter's `forward_lanes`.
+    fn forward_op(&mut self, op: &Op) -> Result<(), Decline> {
+        match op {
+            Op::Bin { f, dst, a, b } => {
+                self.load_a(0, *a)?;
+                self.load_a(1, *b)?;
+                self.binf_value(f);
+                self.store_reg(0, self.reg_loc(*dst));
+            }
+            Op::Un { f, dst, a } => {
+                self.load_a(0, *a)?;
+                self.uf_value(f);
+                self.store_reg(0, self.reg_loc(*dst));
+            }
+            Op::Mov { dst, a } => {
+                self.load_a(0, *a)?;
+                self.store_reg(0, self.reg_loc(*dst));
+            }
+            Op::VBin { f, dst, a, b, len } => self.span_loop(*len, |e| {
+                e.load_va(0, *a)?;
+                e.load_va(1, *b)?;
+                e.binf_value(f);
+                e.store_reg(0, Loc::Elem(*dst));
+                Ok(())
+            })?,
+            Op::VUn { f, dst, a, len } => self.span_loop(*len, |e| {
+                e.load_va(0, *a)?;
+                e.uf_value(f);
+                e.store_reg(0, Loc::Elem(*dst));
+                Ok(())
+            })?,
+            Op::Dot { dst, a, b, len } => {
+                self.load_const(4, 0.0);
+                self.span_loop(*len, |e| {
+                    e.load_va(0, *a)?;
+                    e.load_va(1, *b)?;
+                    e.a.sse_rr(0xF2, 0x59, 0, 1); // va * vb
+                    e.a.sse_rr(0xF2, 0x58, 4, 0); // s += …
+                    Ok(())
+                })?;
+                self.store_reg(4, Loc::Fixed(*dst));
+            }
+            Op::Sum { dst, a, len } => {
+                self.load_const(4, 0.0);
+                self.span_loop(*len, |e| {
+                    e.load_va(0, *a)?;
+                    e.a.sse_rr(0xF2, 0x58, 4, 0);
+                    Ok(())
+                })?;
+                self.store_reg(4, Loc::Fixed(*dst));
+            }
+            Op::MatVec {
+                dst,
+                mat,
+                x,
+                rows,
+                cols,
+            } => self.row_loop(*mat, *rows, *cols, |e| {
+                e.load_const(4, 0.0);
+                e.span_loop(*cols, |e| {
+                    e.load_mat(0);
+                    e.load_va(1, *x)?;
+                    e.a.sse_rr(0xF2, 0x59, 0, 1); // m · x[c]
+                    e.a.sse_rr(0xF2, 0x58, 4, 0);
+                    Ok(())
+                })?;
+                e.store_reg(4, Loc::Row(*dst));
+                Ok(())
+            })?,
+            Op::MaxVal { dst, a, len } => {
+                // m = m.max(v) through the f64::max shim (maxsd differs on
+                // NaN); the accumulator lives in a frame slot across the
+                // calls.
+                self.load_const(0, f64::NEG_INFINITY);
+                self.spill(0, OFF_ACC);
+                self.span_loop(*len, |e| {
+                    e.reload(0, OFF_ACC);
+                    e.load_va(1, *a)?;
+                    e.call(abi::fmax_c as *const () as usize);
+                    e.spill(0, OFF_ACC);
+                    Ok(())
+                })?;
+                self.reload(0, OFF_ACC);
+                self.store_reg(0, Loc::Fixed(*dst));
+            }
+            Op::Constrain {
+                kind,
+                src,
+                dst,
+                len,
+            } => self.span_loop(*len, |e| {
+                if matches!(kind, Constraint::None) {
+                    // to_constrained = identity, log_jacobian = 0.0
+                    e.load_reg(0, Loc::Elem(*src));
+                    e.store_reg(0, Loc::Elem(*dst));
+                    e.load_const(0, 0.0);
+                } else {
+                    e.a.mov_imm64(RDI, kind as *const Constraint as u64);
+                    let m = e.mem(R12, Loc::Elem(*dst));
+                    e.a.lea(RSI, m);
+                    e.load_reg(0, Loc::Elem(*src));
+                    e.call(abi::constrain_forward_c as *const () as usize);
                 }
-                Op::Un { f, dst, a } => {
-                    self.load_a(0, *a, iter)?;
-                    self.uf_value(f);
-                    self.store_reg(0, dst.at(iter));
+                e.acc_add(0, OFF_JAC);
+                Ok(())
+            })?,
+            Op::ScoreElem { kind, x, args, k } => {
+                self.score_call_args(kind, x, args, *k)?;
+                self.call(abi::elem_value_c as *const () as usize);
+                self.acc_add(0, OFF_SCORE);
+            }
+            Op::ScoreVal {
+                kind,
+                dst,
+                x,
+                args,
+                k,
+            } => {
+                self.score_call_args(kind, x, args, *k)?;
+                self.call(abi::elem_value_c as *const () as usize);
+                self.store_reg(0, self.reg_loc(*dst));
+            }
+            Op::ScoreSweep { .. } => {
+                self.sweep_call_args(op, false);
+                self.call(abi::sweep_sum_c as *const () as usize);
+                self.acc_add(0, OFF_SCORE);
+            }
+            Op::ScoreSweepVal { dst, .. } => {
+                self.sweep_call_args(op, false);
+                self.call(abi::sweep_sum_c as *const () as usize);
+                self.store_reg(0, Loc::Fixed(*dst));
+            }
+            Op::AddScore { a } => {
+                self.load_a(0, *a)?;
+                self.acc_add(0, OFF_SCORE);
+            }
+            Op::AddScoreSpan { a, len } => self.span_loop(*len, |e| {
+                e.load_va(0, *a)?;
+                e.acc_add(0, OFF_SCORE);
+                Ok(())
+            })?,
+            Op::Loop { trip, body } => {
+                if self.trip.is_some() {
+                    return Err(Self::err("nested rolled loop"));
                 }
-                Op::Mov { dst, a } => {
-                    self.load_a(0, *a, iter)?;
-                    self.store_reg(0, dst.at(iter));
+                if *trip == 0 {
+                    return Ok(());
                 }
-                Op::VBin { f, dst, a, b, len } => {
-                    for i in 0..*len as usize {
-                        self.check_size()?;
-                        self.load_va(0, *a, i)?;
-                        self.load_va(1, *b, i)?;
-                        self.binf_value(f);
-                        self.store_reg(0, *dst as usize + i);
-                    }
-                }
-                Op::VUn { f, dst, a, len } => {
-                    for i in 0..*len as usize {
-                        self.check_size()?;
-                        self.load_va(0, *a, i)?;
-                        self.uf_value(f);
-                        self.store_reg(0, *dst as usize + i);
-                    }
-                }
-                Op::Dot { dst, a, b, len } => {
-                    self.load_const(4, 0.0);
-                    for i in 0..*len as usize {
-                        self.check_size()?;
-                        self.load_va(0, *a, i)?;
-                        self.load_va(1, *b, i)?;
-                        self.a.sse_rr(0xF2, 0x59, 0, 1); // va * vb
-                        self.a.sse_rr(0xF2, 0x58, 4, 0); // s += …
-                    }
-                    self.store_reg(4, *dst as usize);
-                }
-                Op::Sum { dst, a, len } => {
-                    self.load_const(4, 0.0);
-                    for i in 0..*len as usize {
-                        self.check_size()?;
-                        self.load_va(0, *a, i)?;
-                        self.a.sse_rr(0xF2, 0x58, 4, 0);
-                    }
-                    self.store_reg(4, *dst as usize);
-                }
-                Op::MatVec {
-                    dst,
-                    mat,
-                    x,
-                    rows,
-                    cols,
-                } => {
-                    let cols_u = *cols as usize;
-                    for r in 0..*rows as usize {
-                        self.check_size()?;
-                        self.load_const(4, 0.0);
-                        for c in 0..cols_u {
-                            let m = self.table_f(*mat, r * cols_u + c)?;
-                            self.load_const(0, m);
-                            self.load_va(1, *x, c)?;
-                            self.a.sse_rr(0xF2, 0x59, 0, 1); // m · x[c]
-                            self.a.sse_rr(0xF2, 0x58, 4, 0);
-                        }
-                        self.store_reg(4, *dst as usize + r);
-                    }
-                }
-                Op::MaxVal { dst, a, len } => {
-                    // m = m.max(v) through the f64::max shim (maxsd differs
-                    // on NaN); the accumulator lives in a frame slot across
-                    // the calls.
-                    self.load_const(0, f64::NEG_INFINITY);
-                    self.spill(0, OFF_ACC);
-                    for i in 0..*len as usize {
-                        self.check_size()?;
-                        self.reload(0, OFF_ACC);
-                        self.load_va(1, *a, i)?;
-                        self.call(abi::fmax_c as *const () as usize);
-                        self.spill(0, OFF_ACC);
-                    }
-                    self.reload(0, OFF_ACC);
-                    self.store_reg(0, *dst as usize);
-                }
-                Op::Constrain {
-                    kind,
-                    src,
-                    dst,
-                    len,
-                } => {
-                    for c in 0..*len as usize {
-                        self.check_size()?;
-                        let src_i = *src as usize + c;
-                        let dst_i = *dst as usize + c;
-                        if matches!(kind, Constraint::None) {
-                            // to_constrained = identity, log_jacobian = 0.0
-                            self.load_reg(0, src_i);
-                            self.store_reg(0, dst_i);
-                            self.load_const(0, 0.0);
-                            self.acc_add(0, OFF_JAC);
-                        } else {
-                            self.mov_rdi_imm(kind as *const Constraint as usize as u64);
-                            self.lea_rsi_regs(dst_i);
-                            self.load_reg(0, src_i);
-                            self.call(abi::constrain_forward_c as *const () as usize);
-                            self.acc_add(0, OFF_JAC);
-                        }
-                    }
-                }
-                Op::ScoreElem { kind, x, args, k } => {
-                    self.score_call_args(kind, x, args, *k, iter)?;
-                    self.call(abi::elem_value_c as *const () as usize);
-                    self.acc_add(0, OFF_SCORE);
-                }
-                Op::ScoreVal {
-                    kind,
-                    dst,
-                    x,
-                    args,
-                    k,
-                } => {
-                    self.score_call_args(kind, x, args, *k, iter)?;
-                    self.call(abi::elem_value_c as *const () as usize);
-                    self.store_reg(0, dst.at(iter));
-                }
-                Op::ScoreSweep { .. } => {
-                    self.sweep_call_args(op, false);
-                    self.call(abi::sweep_sum_c as *const () as usize);
-                    self.acc_add(0, OFF_SCORE);
-                }
-                Op::ScoreSweepVal { dst, .. } => {
-                    self.sweep_call_args(op, false);
-                    self.call(abi::sweep_sum_c as *const () as usize);
-                    self.store_reg(0, *dst as usize);
-                }
-                Op::AddScore { a } => {
-                    self.load_a(0, *a, iter)?;
-                    self.acc_add(0, OFF_SCORE);
-                }
-                Op::AddScoreSpan { a, len } => {
-                    for i in 0..*len as usize {
-                        self.check_size()?;
-                        self.load_va(0, *a, i)?;
-                        self.acc_add(0, OFF_SCORE);
-                    }
-                }
-                Op::Loop { trip, body } => {
-                    for it in 0..*trip {
-                        self.forward_ops(body, it)?;
-                    }
-                }
+                // Counts up to 0: rbx = 8·(iter - trip).
+                self.a.mov_imm32(RBX, -bytes_i32(*trip)?);
+                let top = self.a.pos();
+                self.trip = Some(*trip);
+                self.origin = *trip;
+                self.forward_ops(body)?;
+                self.trip = None;
+                self.a.alu_imm(ALU_ADD, RBX, 8);
+                self.a.jcc_back(CC_NZ, top);
             }
         }
         Ok(())
@@ -953,7 +1424,7 @@ impl<'a> E<'a> {
 
     // -- reverse pass ------------------------------------------------------
 
-    fn reverse_ops(&mut self, ops: &[Op], iter: u32) -> Result<(), Decline> {
+    fn reverse_ops(&mut self, ops: &[Op]) -> Result<(), Decline> {
         for op in ops.iter().rev() {
             self.check_size()?;
             if !has_reverse_effect(op) {
@@ -963,9 +1434,9 @@ impl<'a> E<'a> {
             // ops bump through the loop's cache.
             let region = self.cache.is_empty() && opens_region(op);
             if region {
-                self.fill_cache(op, iter);
+                self.fill_cache(op);
             }
-            self.reverse_op(op, iter)?;
+            self.reverse_op(op)?;
             if region {
                 self.flush_cache();
             }
@@ -974,96 +1445,94 @@ impl<'a> E<'a> {
     }
 
     /// One op's reverse arm, exactly as the interpreter's `reverse_lanes`.
-    fn reverse_op(&mut self, op: &Op, iter: u32) -> Result<(), Decline> {
+    fn reverse_op(&mut self, op: &Op) -> Result<(), Decline> {
         match op {
             Op::Bin { f, dst, a, b } => {
-                self.load_adj(0, dst.at(iter));
+                self.load_adj(0, self.reg_loc(*dst));
                 let skip = self.guard_nonzero(0);
                 let (av, bv) = (*a, *b);
                 self.bin_reverse_body(
                     f,
-                    &move |e, x| e.load_a(x, av, iter),
-                    &move |e, x| e.load_a(x, bv, iter),
-                    a_adj(av, iter),
-                    a_adj(bv, iter),
+                    &move |e, x| e.load_a(x, av),
+                    &move |e, x| e.load_a(x, bv),
+                    self.a_loc(av),
+                    self.a_loc(bv),
                 )?;
                 self.a.bind(skip);
             }
             Op::Un { f, dst, a } => {
-                let Some(ai) = a_adj(*a, iter) else {
+                let Some(ai) = self.a_loc(*a) else {
                     return Ok(());
                 };
-                self.load_adj(0, dst.at(iter));
+                let fx = self.reg_loc(*dst);
+                self.load_adj(0, fx);
                 let skip = self.guard_nonzero(0);
                 let av = *a;
-                self.un_reverse_body(f, &move |e, x| e.load_a(x, av, iter), ai, dst.at(iter))?;
+                self.un_reverse_body(f, &move |e, x| e.load_a(x, av), ai, fx)?;
                 self.a.bind(skip);
             }
             Op::Mov { dst, a } => {
-                let Some(ai) = a_adj(*a, iter) else {
+                let Some(ai) = self.a_loc(*a) else {
                     return Ok(());
                 };
-                self.load_adj(0, dst.at(iter));
+                self.load_adj(0, self.reg_loc(*dst));
                 let skip = self.guard_nonzero(0);
                 self.add_adj(0, ai); // bump(a, g)
                 self.a.bind(skip);
             }
             Op::VBin { f, dst, a, b, len } => {
-                for i in 0..*len as usize {
-                    self.check_size()?;
-                    self.load_adj(0, *dst as usize + i);
-                    let skip = self.guard_nonzero(0);
-                    let (av, bv) = (*a, *b);
-                    self.bin_reverse_body(
+                let (av, bv) = (*a, *b);
+                self.span_loop(*len, |e| {
+                    e.load_adj(0, Loc::Elem(*dst));
+                    let skip = e.guard_nonzero(0);
+                    e.bin_reverse_body(
                         f,
-                        &move |e, x| e.load_va(x, av, i),
-                        &move |e, x| e.load_va(x, bv, i),
-                        va_adj(av, i),
-                        va_adj(bv, i),
+                        &move |e, x| e.load_va(x, av),
+                        &move |e, x| e.load_va(x, bv),
+                        Self::va_loc(av),
+                        Self::va_loc(bv),
                     )?;
-                    self.a.bind(skip);
-                }
+                    e.a.bind(skip);
+                    Ok(())
+                })?;
             }
             Op::VUn { f, dst, a, len } => {
-                for i in 0..*len as usize {
-                    self.check_size()?;
-                    let Some(ai) = va_adj(*a, i) else { continue };
-                    self.load_adj(0, *dst as usize + i);
-                    let skip = self.guard_nonzero(0);
-                    let av = *a;
-                    self.un_reverse_body(
-                        f,
-                        &move |e, x| e.load_va(x, av, i),
-                        ai,
-                        *dst as usize + i,
-                    )?;
-                    self.a.bind(skip);
-                }
+                let Some(ai) = Self::va_loc(*a) else {
+                    return Ok(());
+                };
+                let av = *a;
+                self.span_loop(*len, |e| {
+                    e.load_adj(0, Loc::Elem(*dst));
+                    let skip = e.guard_nonzero(0);
+                    e.un_reverse_body(f, &move |e, x| e.load_va(x, av), ai, Loc::Elem(*dst))?;
+                    e.a.bind(skip);
+                    Ok(())
+                })?;
             }
             Op::Dot { dst, a, b, len } => {
-                self.load_adj(0, *dst as usize);
+                self.load_adj(0, Loc::Fixed(*dst));
                 let skip = self.guard_nonzero(0);
-                for i in 0..*len as usize {
-                    self.check_size()?;
-                    if let Some(ai) = va_adj(*a, i) {
-                        self.load_va(1, *b, i)?; // da = vb
-                        self.mul_g_bump(1, 0, ai);
+                self.span_loop(*len, |e| {
+                    if let Some(ai) = Self::va_loc(*a) {
+                        e.load_va(1, *b)?; // da = vb
+                        e.mul_g_bump(1, 0, ai);
                     }
-                    if let Some(bi) = va_adj(*b, i) {
-                        self.load_va(1, *a, i)?; // db = va
-                        self.mul_g_bump(1, 0, bi);
+                    if let Some(bi) = Self::va_loc(*b) {
+                        e.load_va(1, *a)?; // db = va
+                        e.mul_g_bump(1, 0, bi);
                     }
-                }
+                    Ok(())
+                })?;
                 self.a.bind(skip);
             }
             Op::Sum { dst, a, len } => {
-                self.load_adj(0, *dst as usize);
+                self.load_adj(0, Loc::Fixed(*dst));
                 let skip = self.guard_nonzero(0);
-                for i in 0..*len as usize {
-                    self.check_size()?;
-                    if let Some(ai) = va_adj(*a, i) {
-                        self.add_adj(0, ai); // vbump(a, i, g)
-                    }
+                if let Some(ai) = Self::va_loc(*a) {
+                    self.span_loop(*len, |e| {
+                        e.add_adj(0, ai); // vbump(a, i, g)
+                        Ok(())
+                    })?;
                 }
                 self.a.bind(skip);
             }
@@ -1074,20 +1543,27 @@ impl<'a> E<'a> {
                 rows,
                 cols,
             } => {
-                let cols_u = *cols as usize;
-                for r in 0..*rows as usize {
-                    self.check_size()?;
-                    self.load_adj(0, *dst as usize + r);
-                    let skip = self.guard_nonzero(0);
-                    for c in 0..cols_u {
-                        if let Some(xi) = va_adj(*x, c) {
-                            let m = self.table_f(*mat, r * cols_u + c)?;
-                            self.load_const(1, m);
-                            self.mul_g_bump(1, 0, xi); // m · g
-                        }
+                let Some(xi) = Self::va_loc(*x) else {
+                    return Ok(());
+                };
+                if let VA::Span(xs) = x {
+                    let (xs, dst) = (u64::from(*xs), u64::from(*dst));
+                    let apart = xs + u64::from(*cols) <= dst || dst + u64::from(*rows) <= xs;
+                    if apart && self.cache.is_empty() {
+                        return self.matvec_reverse_by_columns(op);
                     }
-                    self.a.bind(skip);
                 }
+                self.row_loop(*mat, *rows, *cols, |e| {
+                    e.load_adj(0, Loc::Row(*dst));
+                    let skip = e.guard_nonzero(0);
+                    e.span_loop(*cols, |e| {
+                        e.load_mat(1);
+                        e.mul_g_bump(1, 0, xi); // m · g
+                        Ok(())
+                    })?;
+                    e.a.bind(skip);
+                    Ok(())
+                })?;
             }
             Op::MaxVal { .. } => {}
             Op::Constrain {
@@ -1095,47 +1571,24 @@ impl<'a> E<'a> {
                 src,
                 dst,
                 len,
-            } => {
-                // Unguarded, forward element order, exactly
-                // `adj[src+c] += g·dxdu + djdu`.
-                for c in 0..*len as usize {
-                    self.check_size()?;
-                    let src_i = *src as usize + c;
-                    let dst_i = *dst as usize + c;
-                    if matches!(kind, Constraint::None) {
-                        let (dxdu, djdu) = constraint_partials(*kind, 0.0);
-                        self.load_adj(0, dst_i);
-                        self.load_const(1, dxdu);
-                        self.a.sse_rr(0xF2, 0x59, 0, 1); // g · dxdu
-                        self.load_const(1, djdu);
-                        self.a.sse_rr(0xF2, 0x58, 0, 1); // + djdu
-                        self.add_adj(0, src_i);
-                    } else {
-                        self.load_reg(0, src_i); // u
-                        self.mov_rdi_imm(kind as *const Constraint as usize as u64);
-                        self.lea_rsi_rsp(OFF_OUT);
-                        self.call(abi::constrain_partials_c as *const () as usize);
-                        self.load_adj(0, dst_i);
-                        self.a.sse_mem(0xF2, 0x59, 0, Base::Rsp, OFF_OUT); // g·dxdu
-                        self.a.sse_mem(0xF2, 0x58, 0, Base::Rsp, OFF_OUT + 8); // +djdu
-                        self.add_adj(0, src_i);
-                    }
-                }
-            }
+            } => self.span_loop(*len, |e| {
+                e.constrain_reverse_elem(kind, *src, *dst);
+                Ok(())
+            })?,
             Op::ScoreElem { kind, x, args, k } => {
                 // No guard and no seed multiply: bumps are dx / dp[j]
                 // directly, skipped only when the kernel returns None.
-                self.score_call_args(kind, x, args, *k, iter)?;
-                self.lea_rsi_rsp(OFF_OUT);
+                self.score_call_args(kind, x, args, *k)?;
+                self.a.lea(RSI, Mem::at(RSP, OFF_OUT));
                 self.call(abi::elem_partials_c as *const () as usize);
                 self.a.bytes(&[0x85, 0xC0]); // test eax, eax
                 let skip = self.a.jz();
-                if let Some(xi) = a_adj(*x, iter) {
+                if let Some(xi) = self.a_loc(*x) {
                     self.reload(1, OFF_OUT);
                     self.add_adj(1, xi);
                 }
                 for (j, arg) in args.iter().enumerate().take(*k as usize) {
-                    if let Some(aj) = a_adj(*arg, iter) {
+                    if let Some(aj) = self.a_loc(*arg) {
                         self.reload(1, OFF_OUT + 8 + 8 * j as i32);
                         self.add_adj(1, aj);
                     }
@@ -1149,23 +1602,23 @@ impl<'a> E<'a> {
                 args,
                 k,
             } => {
-                self.load_adj(0, dst.at(iter));
+                self.load_adj(0, self.reg_loc(*dst));
                 let guard = self.guard_nonzero(0);
                 self.spill(0, OFF_G);
-                self.score_call_args(kind, x, args, *k, iter)?;
-                self.lea_rsi_rsp(OFF_OUT);
+                self.score_call_args(kind, x, args, *k)?;
+                self.a.lea(RSI, Mem::at(RSP, OFF_OUT));
                 self.call(abi::elem_partials_c as *const () as usize);
                 self.a.bytes(&[0x85, 0xC0]);
                 let skip = self.a.jz();
-                if let Some(xi) = a_adj(*x, iter) {
+                if let Some(xi) = self.a_loc(*x) {
                     self.reload(1, OFF_OUT);
-                    self.a.sse_mem(0xF2, 0x59, 1, Base::Rsp, OFF_G); // dx·g
+                    self.a.sse_mem(0xF2, 0x59, 1, Mem::at(RSP, OFF_G)); // dx·g
                     self.add_adj(1, xi);
                 }
                 for (j, arg) in args.iter().enumerate().take(*k as usize) {
-                    if let Some(aj) = a_adj(*arg, iter) {
+                    if let Some(aj) = self.a_loc(*arg) {
                         self.reload(1, OFF_OUT + 8 + 8 * j as i32);
-                        self.a.sse_mem(0xF2, 0x59, 1, Base::Rsp, OFF_G);
+                        self.a.sse_mem(0xF2, 0x59, 1, Mem::at(RSP, OFF_G));
                         self.add_adj(1, aj);
                     }
                 }
@@ -1181,28 +1634,41 @@ impl<'a> E<'a> {
                 // Seed = adj[dst], passed unguarded (the shim's early
                 // return on 0.0 is the interpreter's own).
                 self.sweep_call_args(op, true);
-                self.load_adj(0, *dst as usize);
+                self.load_adj(0, Loc::Fixed(*dst));
                 self.call(abi::sweep_reverse_c as *const () as usize);
             }
             Op::AddScore { a } => {
-                if let Some(ai) = a_adj(*a, iter) {
+                if let Some(ai) = self.a_loc(*a) {
                     self.load_const(0, 1.0);
                     self.add_adj(0, ai);
                 }
             }
             Op::AddScoreSpan { a, len } => {
-                self.load_const(0, 1.0);
-                for i in 0..*len as usize {
-                    self.check_size()?;
-                    if let Some(ai) = va_adj(*a, i) {
-                        self.add_adj(0, ai);
-                    }
+                if let Some(ai) = Self::va_loc(*a) {
+                    self.load_const(0, 1.0);
+                    self.span_loop(*len, |e| {
+                        e.add_adj(0, ai);
+                        Ok(())
+                    })?;
                 }
             }
             Op::Loop { trip, body } => {
-                for it in (0..*trip).rev() {
-                    self.reverse_ops(body, it)?;
+                if self.trip.is_some() {
+                    return Err(Self::err("nested rolled loop"));
                 }
+                if *trip == 0 {
+                    return Ok(());
+                }
+                // Counts down to 0: rbx = 8·iter, iter = trip-1, …, 0; the
+                // borrow out of 0 ends the loop.
+                self.a.mov_imm32(RBX, bytes_i32(*trip - 1)?);
+                let top = self.a.pos();
+                self.trip = Some(*trip);
+                self.origin = 0;
+                self.reverse_ops(body)?;
+                self.trip = None;
+                self.a.alu_imm(ALU_SUB, RBX, 8);
+                self.a.jcc_back(CC_AE, top);
             }
         }
         Ok(())
@@ -1212,9 +1678,10 @@ impl<'a> E<'a> {
 /// Emits the value and gradient entry points for `dp` into one buffer.
 ///
 /// # Errors
-/// Declines (never panics) when the unrolled code would exceed the size
-/// cap, a displacement would overflow rel32 addressing, or a table operand
-/// is malformed.
+/// Declines (never panics) when the code would exceed the size cap, a
+/// displacement or loop bound would overflow 32-bit addressing, an operand
+/// addresses past the register file, loops nest, or a table operand is
+/// malformed.
 pub(super) fn emit(dp: &DProg) -> Result<Emitted, Decline> {
     if dp.n_regs.saturating_mul(8) > i32::MAX as usize {
         return Err(E::err("register file too large for disp32 addressing"));
@@ -1224,18 +1691,26 @@ pub(super) fn emit(dp: &DProg) -> Result<Emitted, Decline> {
         a: Asm {
             code: Vec::with_capacity(4096),
         },
+        trip: None,
+        origin: 0,
+        span_len: 0,
+        rows: 0,
+        out_of_range: false,
         cache: Vec::new(),
     };
     let value_off = 0;
     e.prologue();
-    e.forward_ops(&dp.ops, 0)?;
+    e.forward_ops(&dp.ops)?;
     e.epilogue();
     let grad_off = e.a.pos();
     e.prologue();
-    e.forward_ops(&dp.ops, 0)?;
-    e.reverse_ops(&dp.ops, 0)?;
+    e.forward_ops(&dp.ops)?;
+    e.reverse_ops(&dp.ops)?;
     e.epilogue();
     e.check_size()?;
+    if e.out_of_range {
+        return Err(E::err("register operand past the register file"));
+    }
     Ok(Emitted {
         code: e.a.code,
         value_off,

@@ -19,15 +19,18 @@
 //!
 //! # Register and stack discipline
 //!
-//! The emitted frame is `push rbp; push r12; push r13; sub rsp, 64` — three
-//! pushes keep `rsp ≡ 0 (mod 16)` at every call site, as the ABI requires.
-//! `r12`/`r13` hold the `regs`/`adj` base pointers for the whole function
-//! (callee-saved, so they survive shim calls); `xmm0..xmm7` are operand
-//! scratch and `xmm8..xmm15` hold the reverse pass's cached adjoint sums
-//! within a call-free region. The 64-byte frame holds the `score`/`jac`
-//! accumulators, a 4-slot shim out-buffer, and spill slots for values live
-//! across calls (see `emit.rs` for the exact layout, XMM allocation, and
-//! the adjoint register cache).
+//! The emitted frame is `push r12; push r13; push rbx; push r14; push r15;
+//! sub rsp, 64` — five pushes keep `rsp ≡ 0 (mod 16)` at every call site,
+//! as the ABI requires. `r12`/`r13` hold the `regs`/`adj` base pointers for
+//! the whole function, `rbx` the counter of a rolled `Loop`, `r14` the
+//! element counter of a span op and `r15` the row counter of a
+//! matrix-vector product (all callee-saved, so they survive shim calls
+//! inside loops); `xmm0..xmm7` are operand scratch and `xmm8..xmm15` hold
+//! the reverse pass's cached adjoint sums within a call-free loop. The
+//! 64-byte frame holds the `score`/`jac` accumulators, a 4-slot shim
+//! out-buffer, and spill slots for values live across calls (see `emit.rs`
+//! for the loop and addressing scheme, the exact layout, XMM allocation,
+//! and the adjoint register cache).
 //!
 //! Everything beyond inline SSE2 arithmetic — transcendentals, score
 //! kernels, batched sweeps, non-trivial constraint transforms — is a call
@@ -52,8 +55,12 @@
 //! * the target is not `x86_64-linux` (no emitter / no `mmap`);
 //! * `GPROB_JIT=0` (or `off`) disables JIT in the environment;
 //! * the CPU lacks SSE2 (not observed in practice on x86_64);
-//! * the fully unrolled code would exceed the emitter's size cap, or a
-//!   register displacement would overflow disp32 addressing;
+//! * the code would exceed the emitter's size cap. Loops and span ops are
+//!   emitted as native loops, so code follows the op list: only a program
+//!   of very many ops, such as one with long bind-time loop expansions,
+//!   comes near it;
+//! * a register displacement or loop bound would overflow 32-bit
+//!   addressing, or an operand would address past the register file;
 //! * `mmap`/`mprotect` refuse the code page.
 //!
 //! The interpreted program remains the differential oracle either way:

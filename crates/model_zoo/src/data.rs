@@ -19,6 +19,37 @@ pub fn bind(name: &str, value: Value<f64>) -> (String, Value<f64>) {
     (name.to_string(), value)
 }
 
+/// `data` scaled up by replication: every container of the data set's
+/// length `N` cycles to length `n`, and `N` becomes `n`.
+///
+/// # Panics
+/// Panics if `data` has no integer `N`.
+pub fn replicated(data: &DataSet, n: usize) -> DataSet {
+    let n0 = data
+        .iter()
+        .find_map(|(k, v)| match v {
+            Value::Int(k0) if k == "N" => Some(*k0 as usize),
+            _ => None,
+        })
+        .expect("data set with an `N`");
+    let cycle = |len: usize| (0..n).map(move |i| i % len.max(1));
+    data.iter()
+        .map(|(k, v)| {
+            let v = match v {
+                Value::Int(_) if k == "N" => Value::Int(n as i64),
+                Value::Vector(x) if x.len() == n0 => {
+                    Value::Vector(cycle(n0).map(|i| x[i]).collect())
+                }
+                Value::IntArray(x) if x.len() == n0 => {
+                    Value::IntArray(cycle(n0).map(|i| x[i]).collect())
+                }
+                other => other.clone(),
+            };
+            (k.clone(), v)
+        })
+        .collect()
+}
+
 /// Draws `n` standard-normal covariate values.
 pub fn covariates(rng: &mut StdRng, n: usize, loc: f64, scale: f64) -> Vec<f64> {
     (0..n).map(|_| sampling::normal(rng, loc, scale)).collect()

@@ -55,16 +55,26 @@ const SYMBOLS: &[&str] = &[
 
 /// Tokenizes Stan source text.
 ///
+/// Works on the UTF-8 bytes in place: symbols are matched against the
+/// source, identifier and number text is sliced out of it, and only a
+/// non-ASCII character (in a comment, a string, or as an error) is decoded.
+/// Spans count lines and *characters*, so a column after non-ASCII text
+/// is the same as in a char-by-char scan.
+///
 /// # Errors
 /// Returns a lexical error for unknown characters or malformed literals.
 pub fn lex(source: &str) -> Result<Vec<Token>, FrontendError> {
-    let chars: Vec<char> = source.chars().collect();
+    let bytes = source.as_bytes();
+    let at = |i: usize| bytes.get(i).copied();
     let mut tokens = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
     let mut col = 1u32;
 
-    let advance = |c: char, line: &mut u32, col: &mut u32| {
+    // Steps over the character at byte `i`, counting its line and column.
+    let advance = |i: &mut usize, line: &mut u32, col: &mut u32| {
+        let c = char_at(source, *i);
+        *i += c.len_utf8();
         if c == '\n' {
             *line += 1;
             *col = 1;
@@ -73,104 +83,95 @@ pub fn lex(source: &str) -> Result<Vec<Token>, FrontendError> {
         }
     };
 
-    while i < chars.len() {
-        let c = chars[i];
+    while i < bytes.len() {
+        let c = char_at(source, i);
         let span = Span::new(line, col);
 
         // Whitespace
         if c.is_whitespace() {
-            advance(c, &mut line, &mut col);
-            i += 1;
+            advance(&mut i, &mut line, &mut col);
             continue;
         }
 
         // Line comments: `//` and `#` (but not `#include`, which we skip too).
-        if c == '#' || (c == '/' && chars.get(i + 1) == Some(&'/')) {
-            while i < chars.len() && chars[i] != '\n' {
-                advance(chars[i], &mut line, &mut col);
-                i += 1;
+        if c == '#' || (c == '/' && at(i + 1) == Some(b'/')) {
+            while i < bytes.len() && bytes[i] != b'\n' {
+                advance(&mut i, &mut line, &mut col);
             }
             continue;
         }
 
         // Block comments.
-        if c == '/' && chars.get(i + 1) == Some(&'*') {
+        if c == '/' && at(i + 1) == Some(b'*') {
             i += 2;
             col += 2;
             loop {
-                if i >= chars.len() {
+                if i >= bytes.len() {
                     return Err(FrontendError::lex("unterminated block comment", span));
                 }
-                if chars[i] == '*' && chars.get(i + 1) == Some(&'/') {
+                if bytes[i] == b'*' && at(i + 1) == Some(b'/') {
                     i += 2;
                     col += 2;
                     break;
                 }
-                advance(chars[i], &mut line, &mut col);
-                i += 1;
+                advance(&mut i, &mut line, &mut col);
             }
             continue;
         }
 
         // String literals.
         if c == '"' {
-            let mut s = String::new();
             i += 1;
             col += 1;
+            let start = i;
             loop {
-                if i >= chars.len() {
+                if i >= bytes.len() {
                     return Err(FrontendError::lex("unterminated string literal", span));
                 }
-                let ch = chars[i];
-                if ch == '"' {
-                    i += 1;
-                    col += 1;
+                if bytes[i] == b'"' {
                     break;
                 }
-                s.push(ch);
-                advance(ch, &mut line, &mut col);
-                i += 1;
+                advance(&mut i, &mut line, &mut col);
             }
             tokens.push(Token {
-                tok: Tok::Str(s),
+                tok: Tok::Str(source[start..i].to_string()),
                 span,
             });
+            i += 1;
+            col += 1;
             continue;
         }
 
+        let digit = |i: usize| at(i).is_some_and(|b| b.is_ascii_digit());
+
         // Numbers.
-        if c.is_ascii_digit() || (c == '.' && chars.get(i + 1).is_some_and(|d| d.is_ascii_digit()))
-        {
+        if c.is_ascii_digit() || (c == '.' && digit(i + 1)) {
             let start = i;
             let mut is_real = false;
-            while i < chars.len() && chars[i].is_ascii_digit() {
+            while digit(i) {
                 i += 1;
             }
-            if i < chars.len()
-                && chars[i] == '.'
-                && chars.get(i + 1) != Some(&'*')
-                && chars.get(i + 1) != Some(&'/')
-            {
+            if at(i) == Some(b'.') && at(i + 1) != Some(b'*') && at(i + 1) != Some(b'/') {
                 is_real = true;
                 i += 1;
-                while i < chars.len() && chars[i].is_ascii_digit() {
+                while digit(i) {
                     i += 1;
                 }
             }
-            if i < chars.len() && (chars[i] == 'e' || chars[i] == 'E') {
+            if matches!(at(i), Some(b'e' | b'E')) {
                 let mut j = i + 1;
-                if j < chars.len() && (chars[j] == '+' || chars[j] == '-') {
+                if matches!(at(j), Some(b'+' | b'-')) {
                     j += 1;
                 }
-                if j < chars.len() && chars[j].is_ascii_digit() {
+                if digit(j) {
                     is_real = true;
                     i = j;
-                    while i < chars.len() && chars[i].is_ascii_digit() {
+                    while digit(i) {
                         i += 1;
                     }
                 }
             }
-            let text: String = chars[start..i].iter().collect();
+            let text = &source[start..i];
             col += (i - start) as u32;
             let tok = if is_real {
                 Tok::Real(text.parse().map_err(|_| {
@@ -189,44 +190,33 @@ pub fn lex(source: &str) -> Result<Vec<Token>, FrontendError> {
         // as `mlp.l1.weight`).
         if c.is_ascii_alphabetic() || c == '_' {
             let start = i;
-            while i < chars.len()
-                && (chars[i].is_ascii_alphanumeric()
-                    || chars[i] == '_'
-                    || (chars[i] == '.'
-                        && chars
-                            .get(i + 1)
-                            .is_some_and(|d| d.is_ascii_alphabetic() || *d == '_')))
-            {
+            let word = |b: u8| b.is_ascii_alphabetic() || b == b'_';
+            while let Some(b) = at(i) {
+                let dotted = b == b'.' && at(i + 1).is_some_and(word);
+                if !(b.is_ascii_alphanumeric() || b == b'_' || dotted) {
+                    break;
+                }
                 i += 1;
             }
-            let text: String = chars[start..i].iter().collect();
             col += (i - start) as u32;
             tokens.push(Token {
-                tok: Tok::Ident(text),
+                tok: Tok::Ident(source[start..i].to_string()),
                 span,
             });
             continue;
         }
 
-        // Symbols / operators.
-        let mut matched = false;
-        for sym in SYMBOLS {
-            let n = sym.len();
-            if i + n <= chars.len() {
-                let candidate: String = chars[i..i + n].iter().collect();
-                if candidate == *sym {
-                    tokens.push(Token {
-                        tok: Tok::Sym(sym),
-                        span,
-                    });
-                    i += n;
-                    col += n as u32;
-                    matched = true;
-                    break;
-                }
-            }
-        }
-        if matched {
+        // Symbols / operators, longest first.
+        if let Some(sym) = SYMBOLS
+            .iter()
+            .find(|s| bytes[i..].starts_with(s.as_bytes()))
+        {
+            tokens.push(Token {
+                tok: Tok::Sym(sym),
+                span,
+            });
+            i += sym.len();
+            col += sym.len() as u32;
             continue;
         }
 
@@ -241,6 +231,17 @@ pub fn lex(source: &str) -> Result<Vec<Token>, FrontendError> {
         span: Span::new(line, col),
     });
     Ok(tokens)
+}
+
+/// The character starting at byte `i` of `source` (a char boundary).
+fn char_at(source: &str, i: usize) -> char {
+    match source.as_bytes()[i] {
+        b if b.is_ascii() => b as char,
+        _ => source[i..]
+            .chars()
+            .next()
+            .expect("a char boundary inside the source"),
+    }
 }
 
 #[cfg(test)]
@@ -322,6 +323,54 @@ mod tests {
     fn error_location_is_reported() {
         let err = lex("x @ y").unwrap_err();
         assert_eq!(err.span.unwrap(), Span::new(1, 3));
+    }
+
+    #[test]
+    fn every_symbol_lexes_to_itself() {
+        for sym in SYMBOLS {
+            assert_eq!(toks(sym), vec![Tok::Sym(sym), Tok::Eof], "{sym}");
+        }
+    }
+
+    #[test]
+    fn dotted_symbols_next_to_leading_dot_reals() {
+        assert_eq!(
+            toks("x .* .5 ./ y ... .5"),
+            vec![
+                Tok::Ident("x".into()),
+                Tok::Sym(".*"),
+                Tok::Real(0.5),
+                Tok::Sym("./"),
+                Tok::Ident("y".into()),
+                Tok::Sym("..."),
+                Tok::Real(0.5),
+                Tok::Eof
+            ]
+        );
+        assert_eq!(
+            toks(".5.*x"),
+            vec![
+                Tok::Real(0.5),
+                Tok::Sym(".*"),
+                Tok::Ident("x".into()),
+                Tok::Eof
+            ]
+        );
+        assert_eq!(
+            toks("2./.5"),
+            vec![Tok::Int(2), Tok::Sym("./"), Tok::Real(0.5), Tok::Eof]
+        );
+    }
+
+    #[test]
+    fn error_columns_count_characters_after_non_ascii_text() {
+        // Line 2 is `"ü" @`: the `@` is the fifth character, the sixth byte.
+        let err = lex("// é comment\n\"ü\" @").unwrap_err();
+        assert_eq!(err.span.unwrap(), Span::new(2, 5));
+        let err = lex("/* ééé */ x £").unwrap_err();
+        assert_eq!(err.span.unwrap(), Span::new(1, 13));
+        assert!(err.message.contains("`£`"), "{}", err.message);
+        assert_eq!(toks("\"ü\"")[0], Tok::Str("ü".into()));
     }
 
     #[test]

@@ -49,12 +49,16 @@ impl Parser {
         self.tokens[self.pos].span
     }
 
+    /// Moves past the current token and returns it. The parser never
+    /// backtracks, so it takes the token out of the stream instead of
+    /// cloning it; the final `Eof` stays in place.
     fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.pos].tok.clone();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
+            std::mem::replace(&mut self.tokens[self.pos - 1].tok, Tok::Eof)
+        } else {
+            self.tokens[self.pos].tok.clone()
         }
-        t
     }
 
     fn eat_sym(&mut self, sym: &str) -> bool {

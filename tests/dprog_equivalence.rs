@@ -1,16 +1,17 @@
 //! Differential suite for the tape-free density programs (`gprob::dprog`):
 //!
-//! * across the whole corpus and every scheme, and across the loop shapes
-//!   that expand at bind time, models whose density compiles to a DProg
-//!   must agree with the retained `Var`/tape oracle *and* the string
-//!   baseline — values to 1e-12, gradients to 1e-10;
+//! * across the whole corpus and every scheme, across the loop shapes that
+//!   expand at bind time, and across seeded generated rolled-loop programs
+//!   (`common::loop_shape`, each one rolled loop op), models whose density
+//!   compiles to a DProg must agree with the retained `Var`/tape oracle
+//!   *and* the string baseline — values to 1e-12, gradients to 1e-10;
 //! * the compiler must compile the shapes it claims to (eight_schools both
 //!   variants, the kidscore family, arK's lagged sweep, garch11 / arma11
 //!   recurrence loops as loop ops, mesquite's matrix-vector head,
 //!   radon_hierarchical's expanded loop) and decline the ones it cannot
 //!   (parameter-dependent branches, user-defined function calls,
-//!   missing-stdlib CDFs, loops past the expansion budget) with a stated
-//!   reason;
+//!   missing-stdlib CDFs, loops past the expansion budget, rolled loops
+//!   past the per-iteration word budget) with a stated reason;
 //! * declined models evaluate byte-identically to the tape path (same code
 //!   path, pinned here against the oracle);
 //! * a proptest over random expression bodies confirms compiling (or
@@ -172,6 +173,27 @@ fn dprog_densities_and_gradients_match_the_tape_oracle_and_baseline() {
     );
 }
 
+/// Generated rolled-loop programs (`common::loop_shape`): each compiles
+/// its loop to one rolled loop op and matches the tape oracle.
+#[test]
+fn generated_loop_shapes_roll_and_match_the_tape() {
+    for seed in common::LOOP_SHAPE_SEEDS {
+        let (label, source, data, trip) = common::loop_shape(seed);
+        let model = bind(&source, Scheme::Mixed, &data)
+            .unwrap_or_else(|| panic!("{label}\nfailed to bind"));
+        let p = model
+            .dprog()
+            .unwrap_or_else(|| panic!("{label}\nno density program: {:?}", model.dprog_decline()));
+        let loops = format!("{p:?}").matches("Loop {").count();
+        assert_eq!(loops, usize::from(trip > 0), "{label}\nloop ops");
+        assert_eq!(
+            assert_matches_tape(&model, &label),
+            probe_points(model.dim()).len(),
+            "{label}\na probe point errored"
+        );
+    }
+}
+
 /// Per-model compile / decline assertions.
 #[test]
 fn corpus_models_compile_or_decline_as_documented() {
@@ -286,6 +308,33 @@ fn over_budget_expansions_decline_and_keep_the_tape() {
             assert_eq!(la.to_bits(), lb.to_bits(), "{body}");
             assert_eq!(ga[0].to_bits(), gb[0].to_bits(), "{body}");
         }
+    }
+}
+
+/// Rolled loops charge their per-iteration registers before allocating
+/// them, since `serve` binds client source: a loop-carried scalar at a
+/// hostile trip count, and one whose writes times trip passes `u32`, both
+/// decline with a stated reason instead of sizing the register file by the
+/// trip or overflowing the register index.
+#[test]
+fn over_budget_rolled_loops_decline() {
+    for (n, body) in [
+        (100_000_000i64, "acc = acc + mu;"),
+        (1i64 << 31, "acc = acc + mu; acc = 0.5 * acc + mu;"),
+    ] {
+        let src = format!(
+            "data {{ int N; }} parameters {{ real mu; }}
+             model {{ real acc; acc = 0; for (i in 1:N) {{ {body} }} target += -acc * acc; }}"
+        );
+        let mut data: Env<f64> = Env::new();
+        data.insert("N".into(), Value::Int(n));
+        let model = bind(&src, Scheme::Mixed, &data).unwrap();
+        assert!(model.dprog().is_none(), "N = {n}: should decline");
+        let reason = model.dprog_decline().unwrap().reason();
+        assert!(
+            reason.contains("per-iteration register and table words"),
+            "N = {n}: {reason}"
+        );
     }
 }
 

@@ -1,11 +1,15 @@
 //! Differential suite for the native x86_64 density-program backend
 //! (`gprob::dprog::jit`):
 //!
-//! * across the whole corpus and every scheme, and across the loop shapes
-//!   that expand at bind time, models whose density program JIT-compiles
+//! * across the whole corpus and every scheme, across the loop shapes that
+//!   expand at bind time, and across seeded generated rolled-loop programs
+//!   (`common::loop_shape`), models whose density program JIT-compiles
 //!   must produce **bitwise identical** values and gradients to the
 //!   interpreted DProg at every probe point — same IEEE operations in the
 //!   same order is the emitter's contract, not an approximation;
+//! * with their data replicated to a few thousand rows, kidscore_momhs and
+//!   garch11 compile to native code of one size at every N (the emitted
+//!   loops are rolled, so code follows the program, not the data);
 //! * the models the emitter claims to support must actually compile to
 //!   native code (both eight_schools variants, the kidscore family, arK,
 //!   the garch11 / arma11 recurrence loops, coin, nes_logit, and
@@ -192,6 +196,72 @@ fn jit_densities_and_gradients_match_the_interpreter_bitwise() {
         checked_points >= 100,
         "only {checked_points} points checked"
     );
+}
+
+/// Generated rolled-loop programs (`common::loop_shape`): each compiles to
+/// native code and matches the interpreter bitwise at every probe point.
+#[test]
+fn generated_loop_shapes_match_the_interpreter_bitwise() {
+    for seed in common::LOOP_SHAPE_SEEDS {
+        let (label, source, data, _) = common::loop_shape(seed);
+        let model = bind(&source, Scheme::Mixed, &data)
+            .unwrap_or_else(|| panic!("{label}\nfailed to bind"));
+        assert!(
+            model.dprog().is_some(),
+            "{label}\nno density program: {:?}",
+            model.dprog_decline()
+        );
+        assert_eq!(
+            model.jit().is_some(),
+            jit_expected(),
+            "{label}\njit: {:?}",
+            model.jit_decline()
+        );
+        assert_eq!(
+            assert_jit_matches_interpreter(&model, &label),
+            probe_points(model.dim()).len(),
+            "{label}\na probe point errored"
+        );
+    }
+}
+
+/// Data-scaled pins: with their data replicated, kidscore_momhs (span ops)
+/// and garch11 (a rolled recurrence) compile to native code at every N,
+/// emit the same code at every N (rolled code is sized by the program, not
+/// the data), and match the interpreter bitwise.
+#[test]
+fn data_scaled_models_keep_one_code_size_and_match_the_interpreter() {
+    for (name, sizes) in [
+        ("kidscore_momhs", [60, 1280, 15360]),
+        ("garch11", [80, 1280, 5120]),
+    ] {
+        let entry = model_zoo::find(name).unwrap();
+        let base = entry.dataset(3);
+        let mut code_lens = Vec::new();
+        for n in sizes {
+            let label = format!("{name} at N = {n}");
+            let data = env_of(&model_zoo::data::replicated(&base, n));
+            let model = bind(entry.source, Scheme::Mixed, &data)
+                .unwrap_or_else(|| panic!("{label}: failed to bind"));
+            assert!(model.dprog().is_some(), "{label}: no density program");
+            assert_eq!(
+                model.jit().is_some(),
+                jit_expected(),
+                "{label}: jit {:?}",
+                model.jit_decline()
+            );
+            code_lens.extend(model.jit().map(|j| j.code_len()));
+            assert_eq!(
+                assert_jit_matches_interpreter(&model, &label),
+                probe_points(model.dim()).len(),
+                "{label}: a probe point errored"
+            );
+        }
+        assert!(
+            code_lens.windows(2).all(|w| w[0] == w[1]),
+            "{name}: code size moved with N: {code_lens:?}"
+        );
+    }
 }
 
 /// Per-model native-compilation assertions: the shapes the emitter supports

@@ -1,8 +1,9 @@
 //! Differential suite for the struct-of-arrays lane evaluator of the
 //! tape-free density programs (`gprob::dprog`):
 //!
-//! * across the whole corpus and every scheme, and across the loop shapes
-//!   that expand at bind time, batched multi-lane evaluation
+//! * across the whole corpus and every scheme, across the loop shapes that
+//!   expand at bind time, and across seeded generated rolled-loop programs
+//!   (`common::loop_shape`), batched multi-lane evaluation
 //!   (`GModel::log_density_and_grad_batch_with`) must be *bitwise* identical
 //!   per point to single-lane evaluation, at batch sizes covering every lane
 //!   width (2, 4, 8) and ragged remainders (3 = 2+1, 5 = 4+1, 11 = 8+2+1);
@@ -153,6 +154,22 @@ fn lane_batches_match_single_lane_bitwise_and_the_tape_oracle() {
         checked_points >= 100,
         "only {checked_points} points checked"
     );
+}
+
+/// Generated rolled-loop programs (`common::loop_shape`): lanes match
+/// single points bitwise and the tape oracle within tolerance.
+#[test]
+fn generated_loop_shapes_batch_bitwise() {
+    for seed in common::LOOP_SHAPE_SEEDS {
+        let (label, source, data, _) = common::loop_shape(seed);
+        let model = bind(&source, Scheme::Mixed, &data)
+            .unwrap_or_else(|| panic!("{label}\nfailed to bind"));
+        assert!(model.dprog().is_some(), "{label}\nno density program");
+        assert!(
+            assert_lanes_match(&model, &label) > 0,
+            "{label}\nno point checked"
+        );
+    }
 }
 
 /// Declined models batch through the per-point fallback loop: the batched

@@ -23,7 +23,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use deepstan::{DeepStan, Method, NutsSettings};
 use gprob::eval::NoExternals;
 use gprob::value::Value;
-use inference::nuts::{nuts_sample, NutsConfig};
+use inference::nuts::{nuts_sample_mut, NutsConfig};
 use minidiff::{grad, tape, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -103,7 +103,7 @@ fn bench_nuts(c: &mut Criterion) {
                     model: &model,
                     ws: &mut ws,
                 };
-                inference::nuts::nuts_sample_mut(&mut target, init, &config)
+                nuts_sample_mut(&mut target, init, &config)
             })
         });
         // The same NUTS harness over the two density-program entries:
@@ -149,7 +149,7 @@ fn bench_nuts(c: &mut Criterion) {
                         ws: &mut ws,
                         jit,
                     };
-                    inference::nuts::nuts_sample_mut(&mut target, init, &config)
+                    nuts_sample_mut(&mut target, init, &config)
                 })
             });
         }
@@ -188,7 +188,7 @@ fn bench_nuts(c: &mut Criterion) {
                     seed: settings.seed,
                     ..Default::default()
                 };
-                nuts_sample(&target, init, &config)
+                nuts_sample_mut(&mut &target, init, &config)
             })
         });
     }

@@ -384,6 +384,9 @@ impl Session<'_> {
                 divergences: result.divergences,
                 wall_time,
                 n_grad_evals: result.n_grad_evals,
+                step_size: result.step_size,
+                mean_accept: result.mean_accept,
+                max_depth_hits: result.max_depth_hits,
             };
             on_chain(c, &chain);
             results[c] = Some(chain);
@@ -503,9 +506,8 @@ impl Session<'_> {
             names: posterior.names,
             chains: vec![ChainResult {
                 draws: posterior.draws,
-                divergences: 0,
                 wall_time: start.elapsed().as_secs_f64(),
-                n_grad_evals: 0,
+                ..ChainResult::default()
             }],
             wall_time: 0.0,
             variational: Some(variational),
@@ -591,9 +593,8 @@ impl Session<'_> {
                 names: model.component_names(),
                 chains: vec![ChainResult {
                     draws: Vec::new(),
-                    divergences: 0,
                     wall_time: start.elapsed().as_secs_f64(),
-                    n_grad_evals: 0,
+                    ..ChainResult::default()
                 }],
                 wall_time: 0.0,
                 variational: None,
@@ -620,9 +621,8 @@ impl Session<'_> {
             names: model.component_names(),
             chains: vec![ChainResult {
                 draws: resampled,
-                divergences: 0,
                 wall_time: start.elapsed().as_secs_f64(),
-                n_grad_evals: 0,
+                ..ChainResult::default()
             }],
             wall_time: 0.0,
             variational: None,
@@ -1130,9 +1130,8 @@ fn collect_advi_fit(
         .into_iter()
         .map(|(result, wall_time)| ChainResult {
             draws: constrain_chain(slots, result.draws),
-            divergences: 0,
             wall_time,
-            n_grad_evals: 0,
+            ..ChainResult::default()
         })
         .collect();
     Fit {
@@ -1160,8 +1159,9 @@ pub enum FitMethod {
     Importance,
 }
 
-/// One chain's output: constrained draws plus sampler accounting.
-#[derive(Debug, Clone)]
+/// One chain's output: constrained draws plus sampler accounting. The
+/// sampler fields are zero for methods other than NUTS.
+#[derive(Debug, Clone, Default)]
 pub struct ChainResult {
     /// Constrained draws, one component vector per draw.
     pub draws: Vec<Vec<f64>>,
@@ -1171,6 +1171,13 @@ pub struct ChainResult {
     pub wall_time: f64,
     /// Gradient evaluations this chain performed (NUTS only).
     pub n_grad_evals: usize,
+    /// The adapted step size the chain sampled with (NUTS only).
+    pub step_size: f64,
+    /// Mean acceptance statistic over the kept draws (NUTS only).
+    pub mean_accept: f64,
+    /// Post-warmup iterations whose trajectory reached the maximum tree
+    /// depth (NUTS only).
+    pub max_depth_hits: usize,
 }
 
 /// The unified result of a [`Session::run`]: per-chain posterior draws on
@@ -1226,10 +1233,12 @@ impl Fit {
 
     /// A human-readable performance profile: this fit's per-chain table
     /// (draws, divergences, gradient evaluations, wall time, gradient
-    /// throughput) followed by the inference/compile sections of the
-    /// process-wide [`obs`] registry — compile/bind phase timings, DProg
-    /// and JIT decline counters, NUTS leapfrog/tree-depth/divergence
-    /// telemetry, ADVI/SVI step timings, and workspace-pool gauges.
+    /// throughput, and for NUTS the sampler's health: adapted step size,
+    /// mean acceptance statistic, max-depth hits) followed by the
+    /// inference/compile sections of the process-wide [`obs`] registry —
+    /// compile/bind phase timings, DProg and JIT decline counters, NUTS
+    /// leapfrog/tree-depth/divergence telemetry, ADVI/SVI step timings, and
+    /// workspace-pool gauges.
     ///
     /// The registry sections are *process totals* (every fit and cached
     /// bind since startup), so compare deltas across calls when profiling
@@ -1260,6 +1269,13 @@ impl Fit {
                 chain.wall_time,
                 rate
             );
+            if self.method == FitMethod::Nuts {
+                let _ = writeln!(
+                    out,
+                    "    step size {:.4}, mean accept {:.3}, {} max-depth hits",
+                    chain.step_size, chain.mean_accept, chain.max_depth_hits
+                );
+            }
         }
         let snapshot = obs::global().snapshot().filtered(&[
             "compile.",

@@ -3,10 +3,13 @@
 //! This crate supplies the inference machinery that the paper gets from the
 //! Stan, Pyro and NumPyro runtimes:
 //!
-//! * [`nuts`] — the No-U-Turn Sampler (multinomial variant with dual-averaging
-//!   step-size adaptation and diagonal mass-matrix estimation), Stan's and
-//!   Pyro's preferred inference method and the one used for every accuracy /
-//!   speed comparison in the paper's evaluation.
+//! * [`nuts`] — the No-U-Turn Sampler as Stan runs it: multinomial
+//!   trajectories with U-turn checks inside every subtree (Hoffman & Gelman
+//!   2014; Betancourt 2017), dual-averaging step-size adaptation, and
+//!   Stan's windowed warmup estimating a regularized dense metric (only its
+//!   diagonal past [`nuts::DENSE_METRIC_MAX_DIM`] dimensions). Stan's and
+//!   Pyro's preferred inference method and the one used for every accuracy
+//!   / speed comparison in the paper's evaluation.
 //! * [`advi`] — automatic differentiation variational inference with a
 //!   mean-field Gaussian family (the `Stan ADVI` baseline of Figure 10).
 //! * [`svi`] — stochastic variational inference utilities (the Adam optimizer
@@ -56,11 +59,11 @@
 //! # Example
 //!
 //! ```
-//! use inference::nuts::{nuts_sample, NutsConfig};
-//! // Standard normal target.
+//! use inference::nuts::{nuts_sample_mut, NutsConfig};
+//! // Standard normal target; a closure runs through its `&F` adapter.
 //! let target = |theta: &[f64]| (-0.5 * theta[0] * theta[0], vec![-theta[0]]);
 //! let cfg = NutsConfig { warmup: 200, samples: 400, seed: 7, ..Default::default() };
-//! let result = nuts_sample(&target, vec![0.5], &cfg);
+//! let result = nuts_sample_mut(&mut &target, vec![0.5], &cfg);
 //! let mean: f64 = result.draws.iter().map(|d| d[0]).sum::<f64>() / result.draws.len() as f64;
 //! assert!(mean.abs() < 0.3);
 //! ```
@@ -81,7 +84,7 @@ pub use diagnostics::{
     accuracy_pass, ess, multi_ess, multi_split_rhat, split_rhat, summarize, Summary,
 };
 pub use loo::{loo_compare, psis_loo, waic, CompareRow, ElpdEstimate};
-pub use nuts::{nuts_sample, nuts_sample_mut, NutsConfig, NutsResult};
+pub use nuts::{nuts_sample_mut, NutsConfig, NutsResult};
 pub use predictive::{draw_seed, stream_chains, GqTable, StreamError};
 pub use svi::{svi_optimize_draws_cancellable, Adam, AdamConfig, SviResult};
 pub use target::{GradTarget, GradTargetBatch, GradTargetMut};
